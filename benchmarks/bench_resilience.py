@@ -1,16 +1,17 @@
-"""Resilience-layer gate — supervision must be nearly free, and
-recovery must only pay for what was lost.
+"""Resilience-layer gate — the write-ahead journal must be nearly
+free, and recovery must only pay for what was lost.
 
 Two floors over :func:`run_resilience.measure_resilience`:
 
-- **Clean-path overhead**: the supervised campaign (default policy, no
-  faults, so zero retries) must stay within ~5% of the plain run
-  (``speedup >= 0.95``) and bit-identical to it — resilience that
+- **Clean-path overhead**: the journaled campaign (every campaign runs
+  under the default supervisor; no faults, so zero retries) must stay
+  within ~5% of the same campaign without a journal
+  (``speedup >= 0.95``) and bit-identical to it — crash resume that
   taxes or perturbs the fault-free path would never be armed.
 - **Recovery economics**: resuming a run that durably committed half
   its cells must re-execute *only* the other half (exact cell counts
   from the journal replay) and cost visibly less wall-clock than the
-  full supervised run.
+  full journaled run.
 
 ``BENCH_SMOKE=1`` shrinks the grid for CI smoke lanes.  Run ``python
 benchmarks/run_resilience.py`` to persist ``BENCH_resilience.json``.
@@ -32,17 +33,17 @@ CELLS = 4 if SMOKE else 6
 MIN_SPEEDUP = 0.93 if SMOKE else 0.95
 
 
-def test_supervision_is_nearly_free_and_recovery_is_partial(once):
+def test_journal_is_nearly_free_and_recovery_is_partial(once):
     result = once(measure_resilience, cells=CELLS)
     print()
     print(
         f"{result['cells']} cells: plain {result['plain_seconds']:.2f}s, "
-        f"supervised {result['supervised_seconds']:.2f}s "
+        f"journaled {result['journaled_seconds']:.2f}s "
         f"(overhead {result['overhead_fraction']*100:+.1f}%); recovery "
         f"{result['recovery_seconds']:.2f}s for "
         f"{result['recovery_cells_run']} re-run cells"
     )
-    assert result["identical"], "supervision perturbed campaign results"
+    assert result["identical"], "the journal perturbed campaign results"
     assert result["clean_retries"] == 0, "clean path should never retry"
     assert result["clean_quarantined"] == 0
     assert result["speedup"] >= MIN_SPEEDUP, (
@@ -55,4 +56,4 @@ def test_supervision_is_nearly_free_and_recovery_is_partial(once):
         result["recovery_cells_run"]
         == result["cells"] - result["precompleted_cells"]
     )
-    assert result["recovery_seconds"] < result["supervised_seconds"]
+    assert result["recovery_seconds"] < result["journaled_seconds"]

@@ -25,15 +25,13 @@ instead of aborting the whole ensemble.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.engines import register_engine, resolve_engine
+from repro.engines import register_engine
 from repro.errors import (
     ConfigurationError,
     FilterDivergenceError,
@@ -46,6 +44,7 @@ from repro.experiments.table1 import (
 )
 from repro.fusion import BoresightConfig
 from repro.geometry import EulerAngles
+from repro.resilience.pool import WorkerPool
 from repro.scenarios.faults import Fault
 from repro.vehicle import Trajectory, VibrationSpec
 
@@ -318,16 +317,15 @@ def _run_serial_engine(
     :class:`EnsembleJob` list plus the ``workers`` count and return a
     :class:`MonteCarloSummary`.  This oracle runs one
     :class:`~repro.experiments.protocol.BoresightTestRig` per seed —
-    in-process, or fanned out over spawned workers with deterministic
-    seed-order aggregation.
+    in-process, or fanned out over a
+    :class:`~repro.resilience.pool.WorkerPool` that lives for this
+    call, with deterministic seed-order aggregation.
     """
     if workers > 1 and len(jobs) > 1:
-        context = multiprocessing.get_context("spawn")
+        pool = WorkerPool(min(workers, len(jobs)))
         try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs)), mp_context=context
-            ) as pool:
-                results = list(pool.map(_run_job, jobs))
+            futures = [pool.submit(_run_job, job) for job in jobs]
+            results = [future.result() for future in futures]
         except BrokenProcessPool as exc:
             raise SimulationError(
                 "Monte-Carlo worker pool died; see the chained exception "
@@ -335,6 +333,8 @@ def _run_serial_engine(
                 "re-import the caller's __main__, which fails from "
                 "REPL/stdin contexts — there, use workers=1."
             ) from exc
+        finally:
+            pool.shutdown()
     else:
         results = [_run_job(job) for job in jobs]
 
@@ -343,26 +343,6 @@ def _run_serial_engine(
         job.seed for job, outcome in zip(jobs, results) if outcome is None
     ]
     return summarize_outcomes(outcomes, diverged_seeds=diverged)
-
-
-def _resolve_ensemble_engine(engine: str, workers: int):
-    """Resolve the ensemble engine and validate ``workers``.
-
-    Engine-name validation lives in the registry (unknown names raise
-    :class:`~repro.errors.EngineError`, a ``ConfigurationError``);
-    engine-specific ``workers`` constraints live in each engine.
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    impl = resolve_engine("ensemble", engine)
-    if workers != 1 and getattr(impl, "single_process", False):
-        # Fail before the trajectory synthesis and job construction —
-        # the mismatch is knowable from the arguments alone.
-        raise ConfigurationError(
-            f"engine={engine!r} batches all runs in one process; use "
-            "workers=1 (process parallelism belongs to engine='model')"
-        )
-    return impl
 
 
 def run_monte_carlo_static(

@@ -112,7 +112,7 @@ def degradation_report(result) -> str:
         f"degraded {totals['degraded']}, diverged {totals['diverged']}"
     )
     if totals["quarantined"]:
-        # Only supervised runs can quarantine; keep the unsupervised
-        # report line byte-stable.
+        # Keep the report line of a grid without quarantines
+        # byte-stable.
         summary_line += f", quarantined {totals['quarantined']}"
     return f"# Degradation report: {result.spec.name}\n\n{table}\n\n{summary_line}\n"

@@ -8,34 +8,43 @@ typed request, call :func:`execute`, get a typed result.
   oracle, or the chunked lockstep path) and returns a
   :class:`~repro.service.requests.ScenarioResult`;
 - a :class:`~repro.scenarios.campaign.CampaignSpec` routes to the
-  ``"campaign"`` domain (grid execution with cache stitching) and
-  returns a :class:`~repro.scenarios.campaign.CampaignResult`;
+  ``"campaign"`` domain (supervised grid execution with per-cell
+  cache stitching) and returns a
+  :class:`~repro.scenarios.campaign.CampaignResult`;
 - a :class:`~repro.sabre.harness.FirmwareRequest` routes to the
   ``"sabre"`` domain (serial firmware oracle, or the batched
   SIMD-over-instances CPU) and returns a
   :class:`~repro.sabre.harness.FirmwareResult`.
 
-The execution knobs are uniform across both paths — and across the
-legacy entry points (:func:`~repro.analysis.montecarlo.run_monte_carlo_static`,
+Every request type takes one path through :func:`execute`: the knobs
+are checked once, against the chosen engine's registration flags and
+before any work, then the cache is consulted, the engine runs, the
+result is stored and the result record built.  The knobs are uniform
+across request types — and across the legacy entry points (:func:`~repro.analysis.montecarlo.run_monte_carlo_static`,
 :func:`~repro.analysis.montecarlo.run_monte_carlo_dynamic`,
 :func:`~repro.scenarios.campaign.run_campaign`), which are now thin
 shims over this module:
 
 ``engine``
-    A registry name for the request's domain, or ``"auto"`` (pick the
-    lockstep path at ``workers=1``, the process-parallel oracle
-    otherwise for scenario requests; the fast sharded path for
-    campaigns).
+    A registry name for the request's domain, or ``"auto"`` (the
+    ``"fast"`` engine, except the process-parallel oracle for
+    scenario requests with ``workers > 1``).
 ``workers``
-    Process parallelism; engines flagged ``single_process`` reject
-    ``workers != 1`` *before* any trajectory is materialized.
+    Process parallelism on the library's one worker pool
+    (:class:`~repro.resilience.pool.WorkerPool`); engines flagged
+    ``single_process`` reject ``workers != 1`` *before* any
+    trajectory, pool or journal file exists.
 ``chunk_size``
     Seed-block size for engines flagged ``accepts_chunk_size``; any
     other engine rejects a non-``None`` value, again before compute.
 ``cache``
     A :class:`~repro.scenarios.cache.CampaignCache` consulted before
-    executing and updated after — scenario requests are cached whole,
-    campaign grids per cell.
+    executing and updated after — scenario and firmware requests are
+    cached whole, campaign grids per cell.
+``supervisor`` / ``journal``
+    Campaigns only: the :class:`~repro.resilience.Supervisor` every
+    campaign runs under (``Supervisor()`` by default) and an optional
+    crash-resumable write-ahead journal.
 
 Many *concurrent* requests belong to the asyncio service
 (:class:`repro.service.ScenarioService`), which adds coalescing,
@@ -47,10 +56,7 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.montecarlo import (
-    MonteCarloSummary,
-    _resolve_ensemble_engine,
-)
+from repro.analysis.montecarlo import MonteCarloSummary
 from repro.engines import resolve_engine
 from repro.errors import ConfigurationError
 from repro.sabre.harness import FirmwareRequest, FirmwareResult
@@ -58,6 +64,7 @@ from repro.scenarios.cache import CampaignCache
 from repro.scenarios.campaign import (
     CampaignResult,
     CampaignSpec,
+    _run_cells_supervised,
 )
 from repro.service.requests import ScenarioRequest, ScenarioResult
 
@@ -72,179 +79,70 @@ __all__ = [
     "execute",
 ]
 
+#: Per request type: the engine domain, the ``"auto"`` engine when
+#: ``workers > 1`` (``"fast"`` otherwise), and where process
+#: parallelism lives when a single-process engine is asked for more.
+_ROUTES = {
+    ScenarioRequest: (
+        "ensemble",
+        "model",
+        "process parallelism belongs to engine='model'",
+    ),
+    CampaignSpec: (
+        "campaign",
+        "fast",
+        "cell sharding belongs to engine='fast'",
+    ),
+    FirmwareRequest: (
+        "sabre",
+        "fast",
+        "the batched engine already advances every instance per step",
+    ),
+}
 
-def _require_chunkable(impl, engine: str, chunk_size: int | None) -> None:
-    """Reject ``chunk_size`` on engines that cannot stream chunks."""
-    if chunk_size is None:
-        return
-    if not getattr(impl, "accepts_chunk_size", False):
-        raise ConfigurationError(
-            f"engine={engine!r} does not take a chunk_size; seed-block "
-            "streaming belongs to the lockstep engines (engine='fast')"
-        )
-    if chunk_size < 1:
-        raise ConfigurationError(
-            f"chunk_size must be >= 1, got {chunk_size}"
-        )
 
+def _check(request, engine, workers, chunk_size, supervisor, journal):
+    """Resolve the engine and validate every knob against its flags.
 
-def _execute_scenario(
-    request: ScenarioRequest,
-    engine: str,
-    workers: int,
-    chunk_size: int | None,
-    cache: CampaignCache | None,
-) -> ScenarioResult:
-    """One scenario request through an ``"ensemble"`` engine."""
-    if engine == "auto":
-        engine = "model" if workers > 1 else "fast"
-    impl = _resolve_ensemble_engine(engine, workers)
-    _require_chunkable(impl, engine, chunk_size)
-    started = time.perf_counter()
-    if cache is not None:
-        hit, summary = cache.lookup(request)
-        if hit:
-            return ScenarioResult(
-                request=request,
-                summary=summary,
-                cache_hit=True,
-                source="cache",
-                batch_size=0,
-                latency_seconds=time.perf_counter() - started,
-            )
-    kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-    summary = impl(request.jobs(), workers, **kwargs)
-    if cache is not None:
-        cache.store(request, summary)
-    return ScenarioResult(
-        request=request,
-        summary=summary,
-        cache_hit=False,
-        source="direct",
-        batch_size=1,
-        latency_seconds=time.perf_counter() - started,
+    The one check :func:`execute` makes, before any trajectory, pool
+    or journal file exists.  Returns ``(engine name, implementation)``.
+    """
+    route = next(
+        (r for kind, r in _ROUTES.items() if isinstance(request, kind)), None
     )
-
-
-def _execute_campaign(
-    spec: CampaignSpec,
-    engine: str,
-    workers: int,
-    chunk_size: int | None,
-    cache: CampaignCache | None,
-    supervisor=None,
-    journal=None,
-) -> CampaignResult:
-    """Every cell of ``spec``, with cache stitching in cell order."""
-    from repro.errors import SimulationError
-
-    if engine == "auto":
-        engine = "fast"
+    if route is None:
+        raise ConfigurationError(
+            f"execute() takes a ScenarioRequest, a CampaignSpec or a "
+            f"FirmwareRequest, got {type(request).__name__}"
+        )
+    domain, parallel_engine, parallel_hint = route
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if supervisor is not None or journal is not None:
-        from repro.scenarios.campaign import _run_cells_supervised
-
-        if chunk_size is not None and chunk_size < 1:
+    if engine == "auto":
+        engine = parallel_engine if workers > 1 else "fast"
+    impl = resolve_engine(domain, engine)
+    if workers != 1 and getattr(impl, "single_process", False):
+        raise ConfigurationError(
+            f"engine={engine!r} is single-process: it runs in one "
+            f"process, so use workers=1 ({parallel_hint})"
+        )
+    if chunk_size is not None:
+        if not getattr(impl, "accepts_chunk_size", False):
+            raise ConfigurationError(
+                f"engine={engine!r} does not take a chunk_size; seed-block "
+                "streaming belongs to the lockstep engines (engine='fast')"
+            )
+        if chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1, got {chunk_size}"
             )
-        cells = spec.cells()
-        summaries, statuses, faults, report = _run_cells_supervised(
-            list(cells),
-            engine=engine,
-            workers=workers,
-            chunk_size=chunk_size,
-            supervisor=supervisor,
-            journal=journal,
-            cache=cache,
-        )
-        return CampaignResult(
-            spec=spec,
-            cells=cells,
-            summaries=summaries,
-            statuses=statuses,
-            cell_faults=faults,
-            resilience=report,
-        )
-    impl = resolve_engine("campaign", engine)
-    if workers != 1 and getattr(impl, "single_process", False):
+    if domain != "campaign" and (supervisor is not None or journal is not None):
         raise ConfigurationError(
-            f"engine={engine!r} is single-process; use workers=1 "
-            "(cell sharding belongs to engine='fast')"
+            f"{type(request).__name__} does not take supervisor/journal; "
+            "the supervised ladder belongs to campaign grids (CampaignSpec) "
+            "and to ScenarioService(supervisor=...)"
         )
-    _require_chunkable(impl, engine, chunk_size)
-    cells = spec.cells()
-    summaries: list[MonteCarloSummary | None] = [None] * len(cells)
-    if cache is None:
-        missing = list(range(len(cells)))
-    else:
-        missing = []
-        for index, cell in enumerate(cells):
-            hit, summary = cache.lookup(cell)
-            if hit:
-                summaries[index] = summary
-            else:
-                missing.append(index)
-    if missing:
-        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-        fresh = impl([cells[i] for i in missing], workers, **kwargs)
-        if len(fresh) != len(missing):
-            raise SimulationError(
-                f"campaign engine returned {len(fresh)} summaries for "
-                f"{len(missing)} cells"
-            )
-        for index, summary in zip(missing, fresh):
-            summaries[index] = summary
-            if cache is not None:
-                cache.store(cells[index], summary)
-    return CampaignResult(
-        spec=spec, cells=cells, summaries=tuple(summaries)
-    )
-
-
-def _execute_firmware(
-    request: FirmwareRequest,
-    engine: str,
-    workers: int,
-    chunk_size: int | None,
-    cache: CampaignCache | None,
-) -> FirmwareResult:
-    """One firmware ensemble through a ``"sabre"`` engine."""
-    if engine == "auto":
-        engine = "fast"
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    impl = resolve_engine("sabre", engine)
-    if workers != 1 and getattr(impl, "single_process", False):
-        raise ConfigurationError(
-            f"engine={engine!r} is single-process; use workers=1 "
-            "(the batched engine already advances every instance per step)"
-        )
-    _require_chunkable(impl, engine, chunk_size)
-    started = time.perf_counter()
-    if cache is not None:
-        hit, payload = cache.lookup(request)
-        if hit:
-            return FirmwareResult(
-                request=request,
-                payload=payload,
-                cache_hit=True,
-                source="cache",
-                batch_size=0,
-                latency_seconds=time.perf_counter() - started,
-            )
-    payload = impl(request)
-    if cache is not None:
-        cache.store(request, payload)
-    return FirmwareResult(
-        request=request,
-        payload=payload,
-        cache_hit=False,
-        source="direct",
-        batch_size=request.instances,
-        latency_seconds=time.perf_counter() - started,
-    )
+    return engine, impl
 
 
 def execute(
@@ -259,43 +157,62 @@ def execute(
 ):
     """Execute one typed request and return its typed result.
 
-    The single blocking entry point: dispatches on the request type
-    (see the module docstring for the routing and the knob semantics).
-    A :class:`~repro.service.requests.ScenarioRequest` whose every
-    seed diverges raises :class:`~repro.errors.ConfigurationError`
-    (the legacy ensemble behavior — the service and campaign paths
-    report ``None`` summaries instead, because they aggregate many
-    units).
+    The single blocking entry point, one path for every request type
+    (see the module docstring for the routing and the knob
+    semantics): check the knobs once, then look up the cache, run the
+    engine, store the result and build the result record.  Scenario
+    and firmware requests are cached whole; campaigns are cached per
+    cell, under the supervisor.  A
+    :class:`~repro.service.requests.ScenarioRequest` whose every seed
+    diverges raises :class:`~repro.errors.ConfigurationError` (the
+    legacy ensemble behavior — the service and campaign paths report
+    ``None`` summaries instead, because they aggregate many units).
 
-    ``supervisor``/``journal`` arm the resilience ladder on the
-    campaign path (per-cell deadlines, retry/backoff, quarantine,
-    crash-resumable journal — see :mod:`repro.resilience`); the other
-    request types reject them, like every knob an engine cannot honor.
+    ``supervisor`` replaces the campaign path's default
+    ``Supervisor()`` (per-cell deadlines, retry/backoff, quarantine —
+    see :mod:`repro.resilience`) and ``journal`` adds its
+    crash-resumable write-ahead record; the other request types
+    reject both, like every knob an engine cannot honor.
     """
-    if isinstance(request, ScenarioRequest) or isinstance(
-        request, FirmwareRequest
-    ):
-        if supervisor is not None or journal is not None:
-            raise ConfigurationError(
-                f"{type(request).__name__} does not take supervisor/"
-                "journal; the supervised ladder belongs to campaign "
-                "grids (CampaignSpec) and to ScenarioService(supervisor=...)"
-            )
-    if isinstance(request, ScenarioRequest):
-        return _execute_scenario(request, engine, workers, chunk_size, cache)
+    engine, impl = _check(request, engine, workers, chunk_size, supervisor, journal)
     if isinstance(request, CampaignSpec):
-        return _execute_campaign(
-            request,
-            engine,
-            workers,
-            chunk_size,
-            cache,
+        cells = request.cells()
+        summaries, statuses, faults, report = _run_cells_supervised(
+            cells,
+            engine=engine,
+            workers=workers,
+            chunk_size=chunk_size,
             supervisor=supervisor,
             journal=journal,
+            cache=cache,
         )
-    if isinstance(request, FirmwareRequest):
-        return _execute_firmware(request, engine, workers, chunk_size, cache)
-    raise ConfigurationError(
-        f"execute() takes a ScenarioRequest, a CampaignSpec or a "
-        f"FirmwareRequest, got {type(request).__name__}"
+        return CampaignResult(
+            spec=request,
+            cells=cells,
+            summaries=summaries,
+            statuses=statuses,
+            cell_faults=faults,
+            resilience=report,
+        )
+    started = time.perf_counter()
+    hit, value = (False, None) if cache is None else cache.lookup(request)
+    if not hit:
+        if isinstance(request, ScenarioRequest):
+            knobs = {} if chunk_size is None else {"chunk_size": chunk_size}
+            value = impl(request.jobs(), workers, **knobs)
+        else:
+            value = impl(request)
+        if cache is not None:
+            cache.store(request, value)
+    if isinstance(request, ScenarioRequest):
+        result_type, units = ScenarioResult, 1
+    else:
+        result_type, units = FirmwareResult, request.instances
+    return result_type(
+        request,
+        value,
+        cache_hit=hit,
+        source="cache" if hit else "direct",
+        batch_size=0 if hit else units,
+        latency_seconds=time.perf_counter() - started,
     )

@@ -441,7 +441,9 @@ def _probe_softfloat_fast(seed: int) -> dict:
 
 
 def _ensemble_probe(name: str):
-    def probe(seed: int) -> dict:
+    # ``chunk_size`` lets the harness push the fast probe across arena
+    # chunk boundaries (chunk_size=1: one seed per chunk).
+    def probe(seed: int, chunk_size: int | None = None) -> dict:
         from repro.analysis.montecarlo import run_monte_carlo_static
 
         summary = run_monte_carlo_static(
@@ -451,6 +453,7 @@ def _ensemble_probe(name: str):
             dwell_time=6.0,
             slew_time=2.0,
             engine=name,
+            chunk_size=chunk_size,
         )
         return {
             "runs": summary.runs,
@@ -467,17 +470,14 @@ def _ensemble_probe(name: str):
 
 register_probe("ensemble", "model")(_ensemble_probe("model"))
 register_probe("ensemble", "fast")(_ensemble_probe("fast"))
-# The chunked variant forces the two-run probe ensemble through >= 2
-# arena chunks, putting the chunk boundary itself (and arena-buffer
-# reuse across chunks) under the registry's automatic oracle sweep.
-register_probe("ensemble", "chunked")(_ensemble_probe("chunked"))
 
 
 # --------------------------------------------------------------------
 # campaign — serial-cell oracle vs lockstep cells.  A compressed grid
 # (one bench scenario × healthy/faulted recipes × two seeds) with the
 # degradation ladder armed; the payload pins every cell summary plus
-# its classification.
+# its classification.  Every campaign runs under the default
+# supervisor, so the pair also pins the clean supervised path.
 # --------------------------------------------------------------------
 
 
@@ -538,11 +538,6 @@ def _campaign_probe(name: str):
 
 register_probe("campaign", "model")(_campaign_probe("model"))
 register_probe("campaign", "fast")(_campaign_probe("fast"))
-# The supervised variant runs the same grid per-cell under the
-# resilience supervisor's default retry policy, so the recovered-
-# results-stay-bit-identical guarantee is enforced by the registry's
-# automatic oracle sweep, not just by the chaos suite.
-register_probe("campaign", "supervised")(_campaign_probe("supervised"))
 
 
 # --------------------------------------------------------------------

@@ -80,7 +80,6 @@ _BUILTIN_MODULES: dict[tuple[str, str], str] = {
     ("softfloat", "fast"): "repro.sabre.softfloat_array",
     ("ensemble", "model"): "repro.analysis.montecarlo",
     ("ensemble", "fast"): "repro.experiments.batch_protocol",
-    ("ensemble", "chunked"): "repro.experiments.batch_protocol",
     ("campaign", "model"): "repro.scenarios.campaign",
     ("campaign", "fast"): "repro.scenarios.campaign",
     ("service", "model"): "repro.service.service",

@@ -32,7 +32,6 @@ stream, and the ensemble statistics compare against simulation truth.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -377,55 +376,6 @@ def run_lockstep_jobs(jobs, workers: int = 1, chunk_size: int | None = None):
 run_lockstep_jobs.single_process = True
 #: Dispatchers may forward a ``chunk_size`` keyword to this engine.
 run_lockstep_jobs.accepts_chunk_size = True
-
-
-@register_engine(
-    "ensemble",
-    "chunked",
-    description="the lockstep engine forced through >= 2 arena chunks",
-)
-def _run_lockstep_jobs_forced_chunks(jobs, workers: int = 1):
-    """The lockstep engine with chunking forced on.
-
-    Identical contract and (bit-identical) results to the ``"fast"``
-    engine, but the chunk size is pinned to half the job list so even
-    tiny ensembles cross at least one chunk boundary — registering it
-    puts the boundary crossing itself under the registry's automatic
-    oracle verification.
-    """
-    return run_lockstep_jobs(
-        jobs, workers, chunk_size=max(1, (len(jobs) + 1) // 2)
-    )
-
-
-_run_lockstep_jobs_forced_chunks.single_process = True
-
-#: Set once the deprecation below has been voiced, so a loop over the
-#: legacy name nags exactly once per process rather than per call.
-_CHUNKED_DEPRECATION_WARNED = False
-
-
-def run_lockstep_jobs_chunked(jobs, workers: int = 1):
-    """Deprecated alias: call ``run_lockstep_jobs(chunk_size=...)``.
-
-    Chunking stopped being a separate engine surface when
-    :func:`run_lockstep_jobs` grew its ``chunk_size`` keyword — the
-    registered ``("ensemble", "chunked")`` entry survives only to pin
-    the chunk boundary under the registry harness.  This shim keeps
-    the old public name importable, emits a single
-    :class:`DeprecationWarning` per process, and forwards to the same
-    forced-chunk execution (bit-identical results).
-    """
-    global _CHUNKED_DEPRECATION_WARNED
-    if not _CHUNKED_DEPRECATION_WARNED:
-        _CHUNKED_DEPRECATION_WARNED = True
-        warnings.warn(
-            "run_lockstep_jobs_chunked is deprecated; use "
-            "run_lockstep_jobs(jobs, chunk_size=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _run_lockstep_jobs_forced_chunks(jobs, workers)
 
 
 def run_static_ensemble(

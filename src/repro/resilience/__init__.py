@@ -14,6 +14,10 @@ rung (``BrokenProcessPool`` -> serial fallback) into a ladder:
 5. **journal resume** — a write-ahead campaign journal lets a killed
    ``run_campaign`` resume, re-running only non-completed cells.
 
+:class:`~repro.resilience.pool.WorkerPool` is the one process pool
+every parallel run uses (campaign cells, ensemble seeds, service
+batches); this package depends on nothing above :mod:`repro.errors`.
+
 :mod:`repro.resilience.chaos` is the proof harness: seeded schedules
 that kill workers mid-flight, delay tasks past deadlines, raise
 transient/permanent faults, and corrupt cache files, so the test
@@ -31,6 +35,7 @@ from repro.resilience.chaos import (
     sample_chaos_schedule,
 )
 from repro.resilience.journal import CampaignJournal, JournalRecord
+from repro.resilience.pool import WorkerPool
 from repro.resilience.supervisor import (
     RetryPolicy,
     SupervisedOutcome,
@@ -50,6 +55,7 @@ __all__ = [
     "RetryPolicy",
     "SupervisedOutcome",
     "Supervisor",
+    "WorkerPool",
     "classify_error",
     "corrupt_cache_file",
     "sample_chaos_schedule",

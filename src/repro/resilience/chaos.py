@@ -5,7 +5,7 @@ error storms); this module injects faults into the *execution stack*
 so the test suite can prove the resilience ladder instead of trusting
 it:
 
-- :class:`ChaosPool` wraps a :class:`~repro.service.executor.WorkerPool`
+- :class:`ChaosPool` wraps a :class:`~repro.resilience.pool.WorkerPool`
   and, on a seeded :class:`ChaosSchedule`, kills workers mid-flight,
   delays task completion past deadlines, or raises transient/permanent
   faults *inside the worker*;
@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -139,10 +139,11 @@ def _raise_permanent(message: str) -> None:
 class ChaosPool:
     """A worker-pool proxy that injects scheduled faults per call.
 
-    Wraps anything with the :class:`~repro.service.executor.WorkerPool`
-    surface (``call``/``run``/``kill_workers``/``restart``/``broken``/
-    ``shutdown``).  Install via ``Supervisor(pool_factory=...)`` so the
-    supervised campaign path builds its pool pre-wrapped.
+    Wraps anything with the :class:`~repro.resilience.pool.WorkerPool`
+    surface pooled campaigns use (``submit``/``kill_workers``/
+    ``restart``/``broken``/``shutdown``).  Install via
+    ``Supervisor(pool_factory=...)`` so campaigns build their pool
+    pre-wrapped.
     """
 
     def __init__(self, pool: object, schedule: ChaosSchedule) -> None:
@@ -171,22 +172,6 @@ class ChaosPool:
     def submit(self, fn: Callable, *args: object):
         fn, args = self._armed(fn, args)
         return self._pool.submit(fn, *args)
-
-    def call(
-        self, fn: Callable, *args: object, timeout: float | None = None
-    ) -> object:
-        fn, args = self._armed(fn, args)
-        return self._pool.call(fn, *args, timeout=timeout)
-
-    def run(
-        self,
-        jobs: list,
-        chunk_size: int | None = None,
-        timeout: float | None = None,
-    ) -> list:
-        from repro.service.executor import _pool_run_batch
-
-        return self.call(_pool_run_batch, list(jobs), chunk_size, timeout=timeout)
 
     def _armed(self, fn: Callable, args: tuple) -> tuple[Callable, tuple]:
         """Consume the next schedule event, rewriting the submitted task."""
@@ -269,19 +254,3 @@ def corrupt_cache_file(
             f"unknown corruption mode {mode!r}; expected 'truncate' or 'bitflip'"
         )
     return path
-
-
-def corrupt_cache_entry(cache, cell: object, mode: str = "truncate") -> Path:
-    """Corrupt the disk-tier entry a cache holds for ``cell``.
-
-    Convenience over :func:`corrupt_cache_file`: computes the cell's
-    canonical digest and drops any in-memory copy so the next lookup
-    is forced through the damaged file.
-    """
-    from repro.scenarios.cache import canonical_digest
-
-    if cache.cache_dir is None:
-        raise ConfigurationError("cache has no disk tier to corrupt")
-    digest = canonical_digest(cell)
-    cache._entries.pop(digest, None)
-    return corrupt_cache_file(cache.cache_dir, digest, mode)

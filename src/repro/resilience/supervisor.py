@@ -21,15 +21,15 @@ must not sink the run.
 
 Retries are pure replays of seed-deterministic work, so a recovered
 result is bit-identical to what the failed attempt would have
-produced — the registry harness pins this via the
-``("campaign", "supervised")`` engine.
+produced.  Every campaign runs under a supervisor, so the registry
+harness's ``("campaign", "fast")`` pair pins the clean supervised path
+against the oracle, and the chaos suite pins the recovered ones.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,8 +37,8 @@ from repro.errors import (
     ConfigurationError,
     PermanentError,
     TaskTimeoutError,
-    TransientError,
 )
+from repro.resilience.pool import WorkerPool
 
 #: Failure classes, as returned by :func:`classify_error`.
 TRANSIENT = "transient"
@@ -57,8 +57,6 @@ def classify_error(exc: BaseException) -> str:
     """
     if isinstance(exc, (PermanentError, ConfigurationError)):
         return PERMANENT
-    if isinstance(exc, (TransientError, BrokenProcessPool, TimeoutError)):
-        return TRANSIENT
     return TRANSIENT
 
 
@@ -183,9 +181,10 @@ class Supervisor:
         Injected backoff sleeper (tests pass a recorder to pin the
         deterministic delay sequence without waiting it out).
     pool_factory:
-        How the supervised campaign path builds its worker pool; the
-        chaos harness swaps in a :class:`~repro.resilience.chaos.ChaosPool`
-        wrapper here.
+        How pooled campaigns build their worker pool (default
+        :class:`~repro.resilience.pool.WorkerPool`); the chaos harness
+        swaps in a :class:`~repro.resilience.chaos.ChaosPool` wrapper
+        here.
     """
 
     def __init__(
@@ -194,15 +193,11 @@ class Supervisor:
         *,
         classify: Callable[[BaseException], str] = classify_error,
         sleep: Callable[[float], None] = time.sleep,
-        pool_factory: Callable[[int], object] | None = None,
+        pool_factory: Callable[[int], object] = WorkerPool,
     ) -> None:
         self.policy = policy if policy is not None else RetryPolicy()
         self.classify = classify
         self.sleep = sleep
-        if pool_factory is None:
-            from repro.service.executor import WorkerPool
-
-            pool_factory = WorkerPool
         self.pool_factory = pool_factory
 
     def backoff(self, retry_index: int) -> None:

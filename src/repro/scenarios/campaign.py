@@ -9,15 +9,18 @@ degradation ladder armed, and summarized into the usual
 :class:`~repro.analysis.montecarlo.MonteCarloSummary` (plus its
 per-run ``fallback_states``).
 
-Execution goes through the ``"campaign"`` engine pair:
+Execution goes through the ``"campaign"`` engine pair, always under
+a :class:`~repro.resilience.Supervisor` (retry, backoff, deadline,
+quarantine, optional write-ahead journal):
 
 - ``"model"`` — the oracle: every cell runs through the serial
   per-seed ensemble oracle, in grid order, one process;
 - ``"fast"`` — every cell runs through the lockstep ensemble engine
-  and, with ``workers > 1``, the *cells* are sharded over spawned
-  worker processes (each cell stays single-process lockstep inside
-  its shard).  Bit-identical to ``"model"`` cell by cell, because the
-  underlying ensemble engines are.
+  and, with ``workers > 1``, the *cells* spread over the library's
+  worker pool (:class:`~repro.resilience.pool.WorkerPool`), refilled
+  as each cell finishes (each cell stays single-process lockstep
+  inside its worker).  Bit-identical to ``"model"`` cell by cell,
+  because the underlying ensemble engines are.
 
 A cell where every seed diverges is not fatal: its summary is ``None``
 and the degradation report (:mod:`repro.analysis.reporting`)
@@ -27,23 +30,24 @@ classifies it ``"diverged"``.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections import Counter, deque
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.montecarlo import EnsembleJob, MonteCarloSummary
-from repro.engines import engine_spec, register_engine, resolve_engine
-from repro.errors import (
-    ConfigurationError,
-    SimulationError,
-    TaskTimeoutError,
-)
+from repro.engines import register_engine, resolve_engine
+from repro.errors import ConfigurationError, TaskTimeoutError
 from repro.experiments.table1 import DEFAULT_MISALIGNMENT
+from repro.resilience.journal import CampaignJournal
+from repro.resilience.supervisor import (
+    PERMANENT,
+    SupervisedOutcome,
+    Supervisor,
+    format_fault,
+)
 from repro.scenarios.cache import CampaignCache, canonical_digest
 from repro.scenarios.faults import (
     CanBusErrorStorm,
@@ -210,7 +214,7 @@ def smoke_campaign_spec(seeds: tuple[int, ...] = tuple(range(900, 908))):
 
 @dataclass(frozen=True)
 class ResilienceReport:
-    """What the supervised campaign path did to finish the grid."""
+    """What the supervisor did to finish a campaign grid."""
 
     #: Cell attempts replayed after a transient failure.
     retries: int = 0
@@ -234,12 +238,11 @@ class CampaignResult:
     every seed of that cell diverged.  Classification and reporting
     live in :mod:`repro.analysis.reporting`.
 
-    Supervised runs (``run_campaign(supervisor=...)`` or
-    ``journal=...``) also carry per-cell ``statuses`` (``"completed"``,
+    Every run also carries per-cell ``statuses`` (``"completed"``,
     ``"cached"``, ``"resumed"``, ``"quarantined"``), the matching
     ``cell_faults`` strings (``None`` except for quarantined cells)
-    and a :class:`ResilienceReport`; unsupervised runs leave all three
-    empty so existing golden artifacts stay byte-identical.
+    and a :class:`ResilienceReport`; the golden form
+    (:meth:`to_golden`) reads none of them.
     """
 
     spec: CampaignSpec
@@ -320,8 +323,224 @@ def _run_cell(
 def _run_cell_fast(
     cell: CampaignCell, chunk_size: int | None = None
 ) -> MonteCarloSummary | None:
-    """Module-level shard worker (spawn must pickle it by name)."""
+    """Module-level pool task (spawn must pickle it by name)."""
     return _run_cell(cell, "fast", chunk_size=chunk_size)
+
+
+class _CellRun:
+    """The cells of one campaign run and what became of each.
+
+    Built by :func:`_run_cells_supervised`, which settles up front
+    every cell that needs no execution — sticky journal quarantines,
+    journal resumes, cache hits — and leaves the rest in ``pending``
+    for the campaign engine.  The engine reports each attempt through
+    :meth:`start` and each final :class:`SupervisedOutcome` through
+    :meth:`settle`, which stores a completed summary in the cache
+    before its ``completed`` journal record lands.
+    """
+
+    def __init__(
+        self,
+        cells: list[CampaignCell],
+        supervisor: Supervisor,
+        journal: CampaignJournal | None,
+        cache: CampaignCache | None,
+        cell_runner: Callable,
+    ) -> None:
+        self.cells = cells
+        self.supervisor = supervisor
+        self.journal = journal
+        self.cache = cache
+        self.cell_runner = cell_runner
+        # Journal records are keyed by the cache's canonical digest.
+        self.digests = (
+            None if journal is None else [canonical_digest(c) for c in cells]
+        )
+        self.summaries: list[MonteCarloSummary | None] = [None] * len(cells)
+        self.statuses = ["pending"] * len(cells)
+        self.faults: list[str | None] = [None] * len(cells)
+        #: :class:`ResilienceReport` field -> count.
+        self.counts: Counter = Counter()
+        self.pending: list[int] = []
+        replay = journal.replay() if journal is not None else {}
+        for index, cell in enumerate(cells):
+            record = replay.get(self.digests[index]) if replay else None
+            if record is not None and record.status == "quarantined":
+                # Sticky: a quarantined cell stays quarantined on resume;
+                # clearing it is an operator decision (new journal).
+                self.statuses[index] = "quarantined"
+                self.faults[index] = record.fault
+                self.counts["quarantined"] += 1
+                continue
+            if cache is not None:
+                hit, summary = cache.lookup(cell)
+                if hit:
+                    self.summaries[index] = summary
+                    if record is not None and record.status == "completed":
+                        self.statuses[index] = "resumed"
+                        self.counts["resumed_from_journal"] += 1
+                    else:
+                        self.statuses[index] = "cached"
+                        self.counts["cells_cached"] += 1
+                    continue
+            self.pending.append(index)
+
+    def start(self, index: int, attempt: int) -> None:
+        """Journal an attempt at cell ``index`` before it executes."""
+        if self.journal is not None:
+            self.journal.record(self.digests[index], "started", attempt=attempt)
+
+    def settle(self, index: int, outcome: SupervisedOutcome) -> None:
+        """Book cell ``index``'s final outcome: counts, cache, journal."""
+        self.counts["retries"] += outcome.retries
+        self.counts["timeouts"] += outcome.timeouts
+        if not outcome.completed:
+            self.statuses[index] = "quarantined"
+            self.faults[index] = outcome.fault
+            self.counts["quarantined"] += 1
+            if self.journal is not None:
+                self.journal.record(
+                    self.digests[index],
+                    "quarantined",
+                    attempt=outcome.attempts,
+                    fault=outcome.fault,
+                )
+            return
+        self.summaries[index] = outcome.value
+        self.statuses[index] = "completed"
+        self.counts["cells_run"] += 1
+        if self.cache is not None:
+            self.cache.store(self.cells[index], outcome.value)
+        if self.journal is not None:
+            self.journal.record(
+                self.digests[index],
+                "completed",
+                attempt=outcome.attempts,
+                summary_ref=(
+                    None if self.cache is None else self.digests[index]
+                ),
+            )
+
+    def run_in_process(self, engine: str, chunk_size: int | None) -> None:
+        """Pending cells one at a time under :meth:`Supervisor.run`."""
+        for index in self.pending:
+            self.start(index, attempt=1)
+            task = functools.partial(
+                self.cell_runner, self.cells[index], engine, chunk_size
+            )
+            self.settle(
+                index, self.supervisor.run(task, label=f"cell-{index}")
+            )
+
+
+def _run_pooled(run: _CellRun, workers: int, chunk_size: int | None) -> None:
+    """Pending fast cells over a worker pool, refilled as cells finish.
+
+    Keeps ``min(workers, pending)`` cells in flight and submits the
+    next one as soon as any finishes, so a slow cell never idles the
+    other workers.  Each cell's deadline runs from its own submission;
+    a miss SIGKILLs the workers, and a broken pool (killed worker or
+    missed deadline) drains its in-flight futures, then restarts once.
+    A failed cell re-queues after the policy's backoff until its
+    attempts run out, then quarantines — the ladder
+    :meth:`Supervisor.run` climbs in process.  Tasks go through
+    ``_run_cell_fast``, looked up when each cell is submitted.
+    """
+    supervisor = run.supervisor
+    policy = supervisor.policy
+    queue = deque(run.pending)
+    attempts = dict.fromkeys(queue, 0)
+    timeouts = dict.fromkeys(queue, 0)
+    #: future -> (cell index, monotonic submission time), in submit order.
+    inflight: dict = {}
+    backoff = 0.0
+    broken = False
+
+    def outcome(index: int, **fields) -> SupervisedOutcome:
+        return SupervisedOutcome(
+            attempts=attempts[index],
+            retries=attempts[index] - 1,
+            timeouts=timeouts[index],
+            **fields,
+        )
+
+    def failed(index: int, exc: Exception) -> None:
+        nonlocal backoff
+        if (
+            supervisor.classify(exc) == PERMANENT
+            or attempts[index] >= policy.max_attempts
+        ):
+            run.settle(
+                index, outcome(index, status="quarantined", fault=format_fault(exc))
+            )
+        else:
+            backoff = max(backoff, policy.backoff_delay(attempts[index] - 1))
+            queue.append(index)
+
+    pool = supervisor.pool_factory(min(workers, len(queue)))
+    try:
+        while queue or inflight:
+            if not inflight and (broken or pool.broken):
+                pool.restart()
+                broken = False
+            while queue and len(inflight) < workers and not (
+                broken or pool.broken
+            ):
+                if backoff > 0:
+                    supervisor.sleep(backoff)
+                    backoff = 0.0
+                index = queue.popleft()
+                attempts[index] += 1
+                run.start(index, attempts[index])
+                try:
+                    future = pool.submit(
+                        _run_cell_fast, run.cells[index], chunk_size
+                    )
+                except BrokenProcessPool as exc:
+                    broken = True
+                    failed(index, exc)
+                else:
+                    inflight[future] = (index, time.monotonic())
+            if not inflight:
+                continue
+            timeout = None
+            if policy.deadline is not None:
+                oldest = min(submitted for _, submitted in inflight.values())
+                timeout = max(0.0, oldest + policy.deadline - time.monotonic())
+            done, _ = wait(inflight, timeout=timeout, return_when=FIRST_COMPLETED)
+            now = time.monotonic()
+            for future, (index, submitted) in list(inflight.items()):
+                if future in done:
+                    del inflight[future]
+                    try:
+                        summary = future.result()
+                    except Exception as exc:
+                        broken = broken or isinstance(exc, BrokenProcessPool)
+                        failed(index, exc)
+                    else:
+                        run.settle(
+                            index, outcome(index, status="completed", value=summary)
+                        )
+                elif (
+                    policy.deadline is not None
+                    and now - submitted >= policy.deadline
+                ):
+                    # The watchdog: a hung worker is killed, not waited
+                    # on; the cells in flight beside it fail
+                    # BrokenProcessPool and retry on the restarted pool.
+                    del inflight[future]
+                    pool.kill_workers()
+                    broken = True
+                    timeouts[index] += 1
+                    failed(
+                        index,
+                        TaskTimeoutError(
+                            f"campaign cell exceeded {policy.deadline:g}s "
+                            "deadline"
+                        ),
+                    )
+    finally:
+        pool.shutdown()
 
 
 @register_engine(
@@ -330,22 +549,16 @@ def _run_cell_fast(
     oracle=True,
     description="cells in grid order through the serial ensemble oracle",
 )
-def run_campaign_cells_serial(
-    cells: list[CampaignCell], workers: int = 1
-) -> list[MonteCarloSummary | None]:
+def run_campaign_cells_serial(run: _CellRun, workers: int = 1) -> None:
     """The ``"campaign"`` domain contract on the oracle path.
 
-    Engines take the cell list plus a ``workers`` count and return one
-    summary (or ``None``) per cell, in cell order.  The oracle runs
-    every cell through the serial per-seed ensemble engine in one
-    process; sharding belongs to the fast engine.
+    Engines take a campaign run — its pending cells, the supervisor
+    and the per-cell bookkeeping — plus a ``workers`` count, and
+    settle every pending cell through ``run.settle``.  The oracle runs
+    each cell through the serial per-seed ensemble engine, in grid
+    order, in this process; pooling belongs to the fast engine.
     """
-    if workers != 1:
-        raise ConfigurationError(
-            "the campaign oracle is single-process; cell sharding "
-            "belongs to engine='fast'"
-        )
-    return [_run_cell(cell, "model") for cell in cells]
+    run.run_in_process("model", None)
 
 
 run_campaign_cells_serial.single_process = True
@@ -354,38 +567,26 @@ run_campaign_cells_serial.single_process = True
 @register_engine(
     "campaign",
     "fast",
-    description="lockstep cells, optionally sharded over worker processes",
+    description="lockstep cells, over a worker pool when workers > 1",
 )
 def run_campaign_cells_sharded(
-    cells: list[CampaignCell],
+    run: _CellRun,
     workers: int = 1,
     chunk_size: int | None = None,
-) -> list[MonteCarloSummary | None]:
-    """Lockstep cells, fanned over ``workers`` spawned shards.
+) -> None:
+    """Lockstep cells, in process or over ``workers`` pool processes.
 
     Each cell runs the lockstep ensemble engine (single-process, all
     seeds stacked, streaming ``chunk_size`` seed blocks); ``workers >
-    1`` distributes whole cells over a spawn pool.  Aggregation
-    follows cell order regardless of shard completion order, so the
-    result is identical for any ``workers`` — and for any
-    ``chunk_size``, by the chunked core's bit-identity contract.
+    1`` spreads whole cells over a refilled worker pool that lives for
+    this call.  Summaries land by cell index regardless of completion
+    order, so the result is identical for any ``workers`` — and for
+    any ``chunk_size``, by the chunked core's bit-identity contract.
     """
-    run_cell = functools.partial(_run_cell_fast, chunk_size=chunk_size)
-    if workers > 1 and len(cells) > 1:
-        context = multiprocessing.get_context("spawn")
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(cells)), mp_context=context
-            ) as pool:
-                return list(pool.map(run_cell, cells))
-        except BrokenProcessPool as exc:
-            raise SimulationError(
-                "campaign shard pool died; see the chained exception for "
-                "the real cause. One common one: spawned workers re-import "
-                "the caller's __main__, which fails from REPL/stdin "
-                "contexts — there, use workers=1."
-            ) from exc
-    return [run_cell(cell) for cell in cells]
+    if workers > 1 and len(run.pending) > 1:
+        _run_pooled(run, workers, chunk_size)
+    else:
+        run.run_in_process("fast", chunk_size)
 
 
 run_campaign_cells_sharded.accepts_chunk_size = True
@@ -397,296 +598,61 @@ def _run_cells_supervised(
     engine: str = "fast",
     workers: int = 1,
     chunk_size: int | None = None,
-    supervisor=None,
+    supervisor: Supervisor | None = None,
     journal=None,
     cache: CampaignCache | None = None,
     cell_runner: Callable | None = None,
 ):
-    """Cells under the resilience supervisor, optionally journaled.
+    """Cells through a ``"campaign"`` engine under a supervisor.
 
-    Returns ``(summaries, statuses, faults, report)`` — the supervised
-    half of :func:`repro.api.execute`'s campaign path.  Semantics:
+    Returns ``(summaries, statuses, faults, report)`` — what
+    :func:`repro.api.execute` builds a :class:`CampaignResult` from,
+    after it has validated ``engine``/``workers``/``chunk_size``.
+    Semantics:
 
+    - ``supervisor`` defaults to ``Supervisor()`` (no deadline, three
+      attempts); on a clean run nothing retries, so supervision costs
+      nothing but bookkeeping;
     - every cell is keyed by its canonical digest (the cache key);
       with a ``journal`` (a :class:`~repro.resilience.CampaignJournal`
-      or a path), a ``started`` record lands before execution and a
-      terminal ``completed``/``quarantined`` record after, fsync'd, so
-      a killed process resumes by rehydrating ``completed`` cells from
-      the cache and re-running only in-flight ones;
-    - ``workers == 1`` runs cells sequentially in-process under
-      :meth:`Supervisor.run` (watchdog deadline, backoff, quarantine);
-      ``cell_runner`` swaps the per-cell callable — the in-process
-      chaos hook;
-    - ``workers > 1`` submits waves of cells to a pool built by
-      ``supervisor.pool_factory`` (the pool-level chaos hook) with
-      per-cell deadlines measured from wave start; a failed or
-      timed-out cell is re-queued with deterministic backoff until its
-      attempts are exhausted, and the pool is restarted between waves
-      when broken.
+      or a path), a ``started`` record lands before each attempt and
+      a terminal ``completed``/``quarantined`` record after, fsync'd,
+      so a killed process resumes by rehydrating ``completed`` cells
+      from the cache and re-running only in-flight ones;
+    - in-process cells run under :meth:`Supervisor.run` (watchdog
+      deadline, backoff, quarantine); ``cell_runner`` swaps the
+      per-cell callable ``(cell, ensemble engine, chunk_size)`` — the
+      in-process chaos hook;
+    - pooled cells (fast engine, ``workers > 1``) run on a pool built
+      by ``supervisor.pool_factory`` — the pool-level chaos hook.
 
     Retries replay seed-deterministic work, so every recovered summary
     is bit-identical to the fault-free serial oracle's.
     """
-    from repro.resilience.journal import CampaignJournal
-    from repro.resilience.supervisor import Supervisor
-
-    if supervisor is None:
-        supervisor = Supervisor()
     owns_journal = journal is not None and not isinstance(
         journal, CampaignJournal
     )
     if owns_journal:
         journal = CampaignJournal(journal)
-    campaign_engine = engine_spec("campaign", engine)
-    if getattr(campaign_engine.obj, "single_process", False) and workers != 1:
-        raise ConfigurationError(
-            "the campaign oracle is single-process; cell sharding "
-            "belongs to engine='fast'"
-        )
-    ensemble_engine = "model" if campaign_engine.oracle else "fast"
-    if chunk_size is not None and not getattr(
-        campaign_engine.obj, "accepts_chunk_size", False
-    ):
-        raise ConfigurationError(
-            "engine='model' does not take a chunk_size; seed-block "
-            "streaming belongs to the lockstep engines (engine='fast')"
-        )
-    digests = [canonical_digest(cell) for cell in cells]
-    summaries: list[MonteCarloSummary | None] = [None] * len(cells)
-    statuses: list[str] = ["pending"] * len(cells)
-    faults: list[str | None] = [None] * len(cells)
-    counts = {
-        "retries": 0,
-        "timeouts": 0,
-        "quarantined": 0,
-        "resumed_from_journal": 0,
-        "cells_run": 0,
-        "cells_cached": 0,
-    }
-    replay = journal.replay() if journal is not None else {}
-    to_run: list[int] = []
-    for index, cell in enumerate(cells):
-        record = replay.get(digests[index])
-        if record is not None and record.status == "quarantined":
-            # Sticky: a quarantined cell stays quarantined on resume;
-            # clearing it is an operator decision (new journal).
-            statuses[index] = "quarantined"
-            faults[index] = record.fault
-            counts["quarantined"] += 1
-            continue
-        if cache is not None:
-            hit, summary = cache.lookup(cell)
-            if hit:
-                summaries[index] = summary
-                if record is not None and record.status == "completed":
-                    statuses[index] = "resumed"
-                    counts["resumed_from_journal"] += 1
-                else:
-                    statuses[index] = "cached"
-                    counts["cells_cached"] += 1
-                continue
-        to_run.append(index)
-
-    def note_completed(index: int, summary, attempt: int) -> None:
-        summaries[index] = summary
-        statuses[index] = "completed"
-        counts["cells_run"] += 1
-        summary_ref = None
-        if cache is not None:
-            cache.store(cells[index], summary)
-            summary_ref = digests[index]
-        if journal is not None:
-            journal.record(
-                digests[index],
-                "completed",
-                attempt=attempt,
-                summary_ref=summary_ref,
-            )
-
-    def note_quarantined(index: int, fault: str, attempt: int) -> None:
-        statuses[index] = "quarantined"
-        faults[index] = fault
-        counts["quarantined"] += 1
-        if journal is not None:
-            journal.record(
-                digests[index], "quarantined", attempt=attempt, fault=fault
-            )
-
     try:
-        if workers == 1:
-            runner = cell_runner if cell_runner is not None else _run_cell
-            for index in to_run:
-                if journal is not None:
-                    journal.record(digests[index], "started", attempt=1)
-                outcome = supervisor.run(
-                    functools.partial(
-                        runner, cells[index], ensemble_engine, chunk_size
-                    ),
-                    label=f"cell-{index}",
-                )
-                counts["retries"] += outcome.retries
-                counts["timeouts"] += outcome.timeouts
-                if outcome.completed:
-                    note_completed(index, outcome.value, outcome.attempts)
-                else:
-                    note_quarantined(index, outcome.fault, outcome.attempts)
-        elif to_run:
-            _run_wave_pool(
-                to_run,
-                cells,
-                digests,
-                chunk_size,
-                supervisor,
-                journal,
-                counts,
-                note_completed,
-                note_quarantined,
-                workers,
-            )
+        run = _CellRun(
+            list(cells),
+            supervisor if supervisor is not None else Supervisor(),
+            journal,
+            cache,
+            cell_runner if cell_runner is not None else _run_cell,
+        )
+        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
+        resolve_engine("campaign", engine)(run, workers, **kwargs)
     finally:
         if owns_journal:
             journal.close()
-    report = ResilienceReport(**counts)
-    return tuple(summaries), tuple(statuses), tuple(faults), report
-
-
-def _run_wave_pool(
-    to_run: list[int],
-    cells: list[CampaignCell],
-    digests: list[str],
-    chunk_size: int | None,
-    supervisor,
-    journal,
-    counts: dict,
-    note_completed: Callable,
-    note_quarantined: Callable,
-    workers: int,
-) -> None:
-    """Pool half of the supervised path: waves, deadlines, requeues."""
-    from repro.resilience.supervisor import PERMANENT, format_fault
-
-    policy = supervisor.policy
-    pool = supervisor.pool_factory(workers)
-    attempts = {index: 0 for index in to_run}
-    pending = deque(to_run)
-    backoff = 0.0
-
-    def failed(index: int, exc: Exception) -> None:
-        nonlocal backoff
-        fault = format_fault(exc)
-        if (
-            supervisor.classify(exc) == PERMANENT
-            or attempts[index] >= policy.max_attempts
-        ):
-            note_quarantined(index, fault, attempts[index])
-        else:
-            counts["retries"] += 1
-            backoff = max(backoff, policy.backoff_delay(attempts[index] - 1))
-            pending.append(index)
-
-    try:
-        while pending:
-            if pool.broken:
-                pool.restart()
-            if backoff > 0:
-                supervisor.sleep(backoff)
-                backoff = 0.0
-            wave = [
-                pending.popleft()
-                for _ in range(min(workers, len(pending)))
-            ]
-            futures = {}
-            for index in wave:
-                attempts[index] += 1
-                if journal is not None:
-                    journal.record(
-                        digests[index], "started", attempt=attempts[index]
-                    )
-                try:
-                    futures[index] = pool.submit(
-                        _run_cell_fast, cells[index], chunk_size
-                    )
-                except BrokenProcessPool as exc:
-                    failed(index, exc)
-            started_at = time.monotonic()
-            for index in wave:
-                if index not in futures:
-                    continue
-                remaining = None
-                if policy.deadline is not None:
-                    # Per-cell deadline from wave start: the wave's
-                    # cells run concurrently, so they share a clock.
-                    remaining = max(
-                        0.01,
-                        policy.deadline - (time.monotonic() - started_at),
-                    )
-                try:
-                    summary = futures[index].result(timeout=remaining)
-                except FutureTimeoutError:
-                    # The watchdog: a hung worker is killed, not waited
-                    # on; collateral cells fail BrokenProcessPool and
-                    # retry on the restarted pool.
-                    pool.kill_workers()
-                    counts["timeouts"] += 1
-                    failed(
-                        index,
-                        TaskTimeoutError(
-                            f"campaign cell exceeded {policy.deadline:g}s "
-                            "deadline"
-                        ),
-                    )
-                except Exception as exc:
-                    failed(index, exc)
-                else:
-                    note_completed(index, summary, attempts[index])
-    finally:
-        pool.shutdown()
-
-
-@register_engine(
-    "campaign",
-    "supervised",
-    description="cells one at a time under the resilience supervisor "
-    "(deadline watchdog, retry/backoff, poison quarantine)",
-)
-def run_campaign_cells_supervised(
-    cells: list[CampaignCell],
-    workers: int = 1,
-    chunk_size: int | None = None,
-) -> list[MonteCarloSummary | None]:
-    """The supervised in-process path under the registry contract.
-
-    Runs every cell through :func:`_run_cells_supervised` with the
-    default :class:`~repro.resilience.RetryPolicy` and no journal.  On
-    a clean run nothing retries, so the registry harness pins the
-    supervised path bit-identical to the oracle — the guarantee that
-    makes retry-recovered results trustworthy.  A quarantined cell
-    raises here (the registry contract has no fault channel); the
-    full-ladder surface is ``run_campaign(supervisor=...)``.
-    """
-    if workers != 1:
-        raise ConfigurationError(
-            "the supervised registry engine is single-process; pooled "
-            "waves belong to run_campaign(supervisor=..., workers>1)"
-        )
-    summaries, statuses, faults, _ = _run_cells_supervised(
-        list(cells), engine="fast", workers=1, chunk_size=chunk_size
+    return (
+        tuple(run.summaries),
+        tuple(run.statuses),
+        tuple(run.faults),
+        ResilienceReport(**run.counts),
     )
-    quarantined = [
-        (index, fault)
-        for index, (status, fault) in enumerate(zip(statuses, faults))
-        if status == "quarantined"
-    ]
-    if quarantined:
-        index, fault = quarantined[0]
-        raise SimulationError(
-            f"cell {index} quarantined under the default policy: {fault}"
-        )
-    return list(summaries)
-
-
-run_campaign_cells_supervised.single_process = True
-run_campaign_cells_supervised.accepts_chunk_size = True
 
 
 def run_campaign(
@@ -703,7 +669,7 @@ def run_campaign(
     A thin shim over :func:`repro.api.execute` (the knobs are the
     uniform façade knobs): ``engine`` selects the ``"campaign"``
     backend (``"model"`` oracle or the default ``"fast"`` lockstep
-    path); ``workers > 1`` shards cells over spawned processes on the
+    path); ``workers > 1`` spreads cells over a worker pool on the
     fast engine; ``chunk_size`` streams each cell's seeds in blocks
     (fast engine only).  Cell summaries are bit-identical across
     engines, worker counts and chunk sizes — which is what makes
@@ -713,16 +679,15 @@ def run_campaign(
     stitched back in cell order.  Fresh results are stored back, so
     iterating on one scenario re-runs only its cells.
 
-    ``supervisor`` (a :class:`~repro.resilience.Supervisor`) and/or
-    ``journal`` (a :class:`~repro.resilience.CampaignJournal` or a
-    path) switch execution to the supervised per-cell path: per-cell
-    deadlines with a worker watchdog, deterministic retry/backoff,
-    poison quarantine (reported on
-    :attr:`CampaignResult.statuses`/``cell_faults`` instead of
-    raising) and — with a journal — crash resume that re-runs only
-    cells without a durable ``completed`` record.  Passing either arms
-    the path; a bare ``journal=`` uses the default
-    :class:`~repro.resilience.RetryPolicy`.
+    Every campaign runs under a :class:`~repro.resilience.Supervisor`
+    — ``supervisor`` or, by default, ``Supervisor()``: per-cell
+    deadlines with a worker watchdog, deterministic retry/backoff and
+    poison quarantine, reported on
+    :attr:`CampaignResult.statuses`/``cell_faults``/``resilience``
+    instead of raising.  ``journal`` (a
+    :class:`~repro.resilience.CampaignJournal` or a path) adds the
+    write-ahead record that lets a killed run resume, re-running only
+    cells without a durable ``completed`` record.
     """
     # Imported lazily: repro.api sits on top of this module.
     from repro.api import execute

@@ -8,9 +8,10 @@ oracle):
 - :func:`run_jobs_inline` — the chunked lockstep core in this
   process, recycling a caller-owned :class:`~repro.experiments.arena.StateArena`
   across batches;
-- :class:`WorkerPool` — the same function on a persistent spawn-worker
-  pool, so batch execution never blocks the service's event loop and
-  survives across many batches without per-batch spawn cost;
+- :class:`WorkerPool` — the same function on the library's one
+  spawn-worker pool (:class:`repro.resilience.pool.WorkerPool`), kept
+  for the service's lifetime so batch execution never blocks the event
+  loop and pays the spawn cost once, not per batch;
 - :func:`run_jobs_serial` — one serial rig per seed, the degraded
   path the service falls back to when the pool dies.
 
@@ -20,15 +21,11 @@ diverged seed, exactly like the engines' masking.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.analysis.montecarlo import EnsembleJob, _run_job
-from repro.errors import ConfigurationError, TaskTimeoutError
 from repro.experiments.arena import StateArena, iter_job_outcomes
+from repro.resilience import pool
 
 #: The row type every backend produces: (seed, outcome tuple or None).
 Row = tuple
@@ -61,75 +58,15 @@ def _pool_run_batch(
     return run_jobs_inline(jobs, chunk_size=chunk_size)
 
 
-class WorkerPool:
-    """A persistent spawn-process pool executing whole lockstep batches.
+class WorkerPool(pool.WorkerPool):
+    """The library worker pool plus the service's whole-batch call.
 
-    One pool outlives many batches — the service pays the spawn cost
-    once, not per batch.  :meth:`run` raises
+    :meth:`run` raises
     :class:`~concurrent.futures.process.BrokenProcessPool` when the
     pool has died (a worker was killed, the interpreter in it
     crashed); the service catches that, marks the pool dead and
     degrades to :func:`run_jobs_serial`.
     """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ConfigurationError(
-                f"worker pool needs workers >= 1, got {workers}"
-            )
-        self.workers = workers
-        self._pool = self._make_executor()
-        self._broken = False
-
-    def _make_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
-
-    @property
-    def broken(self) -> bool:
-        """Whether the pool has been marked dead."""
-        return self._broken
-
-    def submit(self, fn: Callable, *args: object) -> Future:
-        """Submit one task, returning its future.
-
-        The supervised campaign path uses this to run a wave of cells
-        concurrently with per-cell deadlines on the results.
-        """
-        if self._broken:
-            raise BrokenProcessPool("worker pool already marked dead")
-        try:
-            return self._pool.submit(fn, *args)
-        except BrokenProcessPool:
-            self._broken = True
-            raise
-
-    def call(
-        self, fn: Callable, *args: object, timeout: float | None = None
-    ) -> object:
-        """Run one task on a worker, blocking until done or deadline.
-
-        On a deadline miss the watchdog SIGKILLs the workers — a hung
-        task cannot be cancelled any gentler from the parent — marks
-        the pool broken, and raises
-        :class:`~repro.errors.TaskTimeoutError` (transient: the
-        supervisor restarts the pool and replays).  A died-underneath
-        pool raises :class:`BrokenProcessPool` as before.
-        """
-        future = self.submit(fn, *args)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            self.kill_workers()
-            raise TaskTimeoutError(
-                f"{getattr(fn, '__name__', fn)!s}: exceeded "
-                f"{timeout:g}s pool deadline"
-            ) from None
-        except BrokenProcessPool:
-            self._broken = True
-            raise
 
     def run(
         self,
@@ -142,27 +79,3 @@ class WorkerPool:
         Called from an executor thread, never from the event loop.
         """
         return self.call(_pool_run_batch, list(jobs), chunk_size, timeout=timeout)
-
-    def kill_workers(self) -> None:
-        """SIGKILL every live worker process — the deadline watchdog.
-
-        Marks the pool broken; in-flight futures fail with
-        :class:`BrokenProcessPool`.  :meth:`restart` builds a fresh
-        pool for the retry.
-        """
-        self._broken = True
-        # ProcessPoolExecutor keeps its workers in the private
-        # ``_processes`` dict; there is no public kill surface.
-        processes = getattr(self._pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            process.kill()
-
-    def restart(self) -> None:
-        """Replace a dead executor with a fresh spawn pool."""
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = self._make_executor()
-        self._broken = False
-
-    def shutdown(self) -> None:
-        """Release the worker processes (idempotent)."""
-        self._pool.shutdown(wait=True, cancel_futures=True)

@@ -78,13 +78,6 @@ class ServiceMetrics:
         if self.first_request_at is None:
             self.first_request_at = now
 
-    def note_supervised(self, outcome) -> None:
-        """Fold one :class:`~repro.resilience.SupervisedOutcome` in."""
-        self.retries += outcome.retries
-        self.timeouts += outcome.timeouts
-        if outcome.status == "quarantined":
-            self.quarantined += 1
-
     def note_completed(self, latency: float, now: float) -> None:
         """Count a completion with its wall latency."""
         self.completed += 1

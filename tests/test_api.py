@@ -5,10 +5,12 @@ The api_redesign regression surface: the legacy entry points
 ``run_campaign``) are now thin shims over :func:`repro.api.execute`,
 and these tests pin old-vs-new **bit-identity** — the refactor must
 be invisible to every existing caller — plus the normalized execution
-knobs (``engine=``, ``workers=``, ``chunk_size=``, ``cache=``) and
-the :func:`~repro.experiments.batch_protocol.run_lockstep_jobs_chunked`
-deprecation shim (warns exactly once per process).
+knobs (``engine=``, ``workers=``, ``chunk_size=``, ``cache=``), which
+are all checked before any side effect.
 """
+
+import gc
+import warnings
 
 import pytest
 
@@ -211,26 +213,25 @@ class TestLegacyShimFidelity:
         assert cache.hits == 1
 
 
-class TestChunkedDeprecation:
-    def test_warns_exactly_once_per_process(self, monkeypatch):
-        from repro.experiments import batch_protocol
+class TestValidateFirst:
+    """Rejected knobs leave nothing behind: no journal file, no handle."""
 
-        monkeypatch.setattr(
-            batch_protocol, "_CHUNKED_DEPRECATION_WARNED", False
+    @pytest.mark.parametrize(
+        "knobs", [{"workers": 2}, {"chunk_size": 2}], ids=["workers", "chunk_size"]
+    )
+    def test_rejected_campaign_opens_no_journal(self, tmp_path, knobs):
+        spec = CampaignSpec(
+            name="grid",
+            scenarios=(BENCH,),
+            faults=(FaultSpec(name="nominal"),),
+            seeds=(300,),
         )
-        request = ScenarioRequest(scenario=BENCH, seeds=(300, 301))
-        jobs = request.jobs()
-        with pytest.warns(DeprecationWarning, match="chunk_size"):
-            deprecated = batch_protocol.run_lockstep_jobs_chunked(jobs)
-        # Second call: the nag is once per process, not per call.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            again = batch_protocol.run_lockstep_jobs_chunked(jobs)
-        assert deprecated == again
-        # The shim's forced-chunk path stays bit-identical to the
-        # replacement spelling.
-        assert deprecated == batch_protocol.run_lockstep_jobs(
-            jobs, 1, chunk_size=1
-        )
+        path = tmp_path / "journal.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError):
+                execute(spec, journal=path, engine="model", **knobs)
+            gc.collect()
+        assert not path.exists()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaked == []

@@ -5,8 +5,11 @@ Three tiers, matching the CI lanes:
 - fast: spec/grid validation, the scenario corpus, classification and
   report rendering on synthetic summaries;
 - ``slow``: a mini grid run through both ``"campaign"`` engines,
-  asserting the oracle and the sharded-lockstep path agree cell by
-  cell (the registry probe pins the same on a 1×2 grid);
+  asserting the oracle and the lockstep path — in process and on a
+  worker pool — agree cell by cell (the registry probe pins the same
+  on a 1×2 grid);
+- ``resilience``: the pool keeps every worker busy, submitting the
+  next cell as soon as any finishes;
 - ``campaign``: the full smoke grid — every scenario × every fault
   recipe × 8 seeds — through :func:`run_campaign`, compared against
   the checked-in golden degradation artifact.
@@ -24,6 +27,14 @@ from repro.analysis.reporting import (
     degradation_report,
 )
 from repro.errors import ConfigurationError
+from repro.resilience import (
+    CampaignJournal,
+    ChaosPool,
+    ChaosSchedule,
+    Supervisor,
+    WorkerPool,
+)
+from repro.scenarios.cache import canonical_digest
 from repro.scenarios.campaign import (
     CampaignCell,
     CampaignSpec,
@@ -244,11 +255,55 @@ class TestMiniGridEquivalence:
 
     def test_model_and_fast_agree_cell_by_cell(self):
         spec = self._spec()
-        fast = run_campaign(spec, engine="fast")
         model = run_campaign(spec, engine="model")
-        assert fast.summaries == model.summaries
-        assert fast.classifications() == model.classifications()
-        assert fast.to_golden() == model.to_golden()
+        # In process, then cells spread over a worker pool.
+        for workers in (1, 2):
+            fast = run_campaign(spec, engine="fast", workers=workers)
+            assert fast.summaries == model.summaries
+            assert fast.classifications() == model.classifications()
+            assert fast.to_golden() == model.to_golden()
+            # A clean run: every cell ran once, nothing retried.
+            assert fast.statuses == ("completed",) * len(spec.cells())
+            assert fast.resilience.retries == 0
+            assert fast.resilience.timeouts == 0
+
+
+@pytest.mark.resilience
+class TestPooledRefill:
+    """The campaign pool is refilled per cell, not run in waves."""
+
+    def test_next_cell_starts_while_a_slow_cell_runs(self, tmp_path):
+        # Cell 0 sleeps in its worker (no deadline, so it is merely
+        # slow); cell 1 finishes first, and cell 2 must take its worker
+        # right away instead of waiting for cell 0 to end a "wave".
+        library = scenario_library()
+        faults = fault_library()
+        spec = CampaignSpec(
+            name="refill",
+            scenarios=(library["static_bench"],),
+            faults=(
+                faults["nominal"],
+                faults["acc_dropout_window"],
+                faults["stuck_acc_axis"],
+            ),
+            seeds=(901,),
+        )
+        schedule = ChaosSchedule(events=("delay",), delay=4.0)
+        supervisor = Supervisor(
+            pool_factory=lambda workers: ChaosPool(WorkerPool(workers), schedule)
+        )
+        journal = tmp_path / "journal.jsonl"
+        result = run_campaign(
+            spec, workers=2, supervisor=supervisor, journal=journal
+        )
+        assert result.statuses == ("completed",) * 3
+        assert result.resilience.retries == 0
+        digests = [canonical_digest(cell) for cell in spec.cells()]
+        with CampaignJournal(journal) as records:
+            order = [(r.digest, r.status) for r in records.records]
+        assert order.index((digests[2], "started")) < order.index(
+            (digests[0], "completed")
+        )
 
 
 @pytest.mark.campaign

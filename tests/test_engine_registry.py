@@ -14,6 +14,7 @@ Two halves:
    put it under this verification.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,21 @@ from repro.errors import ConfigurationError, EngineError
 #: Auto-discovered at collection time: every registered bit-exact
 #: engine paired with its domain oracle.
 PAIRS = bit_exact_pairs()
+
+#: The harness cases: every pair at its probe's defaults, plus the
+#: "chunked" case — the ensemble lockstep probe at one seed per arena
+#: chunk, so every run crosses a chunk boundary and reuses the arena.
+CASES = [
+    pytest.param(domain, name, oracle, {}, id=f"{domain}-{name}-{oracle}")
+    for domain, name, oracle in PAIRS
+] + [
+    pytest.param(
+        "ensemble", "fast", "model", {"chunk_size": 1},
+        id="ensemble-chunked-model",
+    )
+]
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 class TestRegistryMechanics:
@@ -169,10 +185,9 @@ class TestRegistryMechanics:
     def test_no_inline_engine_branches_outside_registry(self):
         # The refactor's point of no return: dispatch-by-string never
         # reappears outside repro.engines.
-        root = Path(__file__).resolve().parent.parent / "src" / "repro"
         offenders = []
-        for path in sorted(root.rglob("*.py")):
-            if "engines" in path.relative_to(root).parts:
+        for path in sorted(SRC.rglob("*.py")):
+            if "engines" in path.relative_to(SRC).parts:
                 continue
             text = path.read_text()
             for needle in (
@@ -185,6 +200,28 @@ class TestRegistryMechanics:
             ):
                 if needle in text:
                     offenders.append(f"{path}: {needle}")
+        assert offenders == []
+
+    def test_one_process_pool_below_the_layers_it_serves(self):
+        # Every parallel run shares one pool type, and the resilience
+        # layer that owns it imports nothing from the service or
+        # campaign layers it supervises.
+        sites = [
+            str(path.relative_to(SRC))
+            for path in sorted(SRC.rglob("*.py"))
+            for _ in range(path.read_text().count("ProcessPoolExecutor("))
+        ]
+        assert sites == ["resilience/pool.py"]
+        upward = re.compile(
+            r"^\s*(from|import)\s+repro\.(service|scenarios)\b"
+            r"|^\s*from\s+repro\s+import\s.*\b(service|scenarios)\b",
+            re.MULTILINE,
+        )
+        offenders = [
+            path.name
+            for path in sorted((SRC / "resilience").glob("*.py"))
+            if upward.search(path.read_text())
+        ]
         assert offenders == []
 
 
@@ -214,14 +251,16 @@ class TestPayloadComparison:
 class TestEquivalenceHarness:
     """Every registered pair, verified against its oracle via probes."""
 
-    @pytest.mark.parametrize("domain,name,oracle", PAIRS)
-    def test_pair_bit_identical_on_pinned_seed(self, domain, name, oracle):
-        fast = get_probe(domain, name)(7)
+    @pytest.mark.parametrize("domain,name,oracle,knobs", CASES)
+    def test_pair_bit_identical_on_pinned_seed(
+        self, domain, name, oracle, knobs
+    ):
+        fast = get_probe(domain, name)(7, **knobs)
         reference = get_probe(domain, oracle)(7)
         assert_payloads_equal(fast, reference, path=f"{domain}/{name}")
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("domain,name,oracle", PAIRS)
+    @pytest.mark.parametrize("domain,name,oracle,knobs", CASES)
     @settings(
         max_examples=3,
         deadline=None,
@@ -229,11 +268,11 @@ class TestEquivalenceHarness:
     )
     @given(seed=st.integers(min_value=0, max_value=2**16 - 1))
     def test_pair_bit_identical_on_random_configs(
-        self, domain, name, oracle, seed
+        self, domain, name, oracle, knobs, seed
     ):
         # The scenarios derive their inputs and configurations from
         # the seed, so this sweeps random configs per pair.
-        fast = get_probe(domain, name)(seed)
+        fast = get_probe(domain, name)(seed, **knobs)
         reference = get_probe(domain, oracle)(seed)
         assert_payloads_equal(fast, reference, path=f"{domain}/{name}")
 
