@@ -4,10 +4,10 @@ from repro.analysis.montecarlo import (
     DYNAMIC_MOTION_GATE_RATE,
     EnsembleJob,
     MonteCarloSummary,
-    OutcomeAccumulator,
     run_monte_carlo_dynamic,
     run_monte_carlo_static,
     summarize_outcomes,
+    summarize_rows,
 )
 from repro.analysis.reporting import (
     EXCEEDANCE_DEGRADED_THRESHOLD,
@@ -20,10 +20,10 @@ __all__ = [
     "run_monte_carlo_static",
     "run_monte_carlo_dynamic",
     "summarize_outcomes",
+    "summarize_rows",
     "DYNAMIC_MOTION_GATE_RATE",
     "EnsembleJob",
     "MonteCarloSummary",
-    "OutcomeAccumulator",
     "markdown_table",
     "classify_cell",
     "degradation_report",

@@ -45,7 +45,7 @@ from repro.experiments.table1 import (
 from repro.fusion import BoresightConfig
 from repro.geometry import EulerAngles
 from repro.resilience.pool import WorkerPool
-from repro.scenarios.faults import Fault
+from repro.scenarios.faults import Fault, SensorDropout
 from repro.vehicle import Trajectory, VibrationSpec
 
 #: Default body-rate magnitude (rad/s) above which the dynamic
@@ -121,23 +121,18 @@ def summarize_outcomes(
     hold_ticks)`` with the degradation ladder armed, or ``(...,
     hold_ticks, three_sigma_deg)`` when the producer also reports the
     per-run 3-sigma vector; shorter tuples count as zero hold ticks
-    and no calibration statistic.  Shared by every execution engine
-    (serial, process-parallel, batched and chunked) so the aggregation
-    arithmetic — and therefore the bit-identity contract between
-    engines — lives in exactly one place.  The 3-sigma coverage
-    denominator is ``runs`` times the error dimensionality taken from
-    the error vectors themselves.  When every outcome carries a
-    3-sigma vector, ANEES is computed vectorized over the stacked
-    ``(R, n)`` error/sigma matrices.  ``diverged_seeds`` records seeds
-    already masked out of ``outcomes``; ``runs`` counts only the
-    converged runs.
+    and no calibration statistic.  Every summary is built here
+    (through :func:`summarize_rows`), whichever engine produced the
+    rows, so the aggregation arithmetic — and therefore the
+    bit-identity contract between engines — lives in exactly one
+    place.  The 3-sigma coverage denominator is ``runs`` times the
+    error dimensionality taken from the error vectors themselves.
+    When every outcome carries a 3-sigma vector, ANEES is computed
+    vectorized over the stacked ``(R, n)`` error/sigma matrices.
+    ``diverged_seeds`` records seeds already masked out of
+    ``outcomes``; ``runs`` counts only the converged runs.
     """
     if not outcomes:
-        if diverged_seeds:
-            raise ConfigurationError(
-                f"every run diverged (seeds {tuple(diverged_seeds)}); "
-                "nothing to summarize"
-            )
         raise ConfigurationError("no outcomes to summarize")
     runs = len(outcomes)
     errors = [outcome[0] for outcome in outcomes]
@@ -172,75 +167,23 @@ def summarize_outcomes(
     )
 
 
-class OutcomeAccumulator:
-    """Chunked outcome reduction, bit-identical to the monolithic sum.
+def summarize_rows(
+    rows: Sequence[tuple[int, tuple | None]],
+) -> MonteCarloSummary | None:
+    """Reduce an engine's per-seed rows to one summary.
 
-    The chunked scheduler (:mod:`repro.experiments.arena`) finishes
-    each seed block before the next one starts, so the heavy per-chunk
-    state (stream buffers, covariance stacks) can be recycled while
-    only the per-run outcome rows — a handful of scalars and
-    length-``n`` vectors per seed — survive to the final reduction.
-
-    Two reduction regimes keep the result exactly equal to
-    :func:`summarize_outcomes` over the whole ``R`` at every chunk
-    size:
-
-    - integer statistics (covered-axis counts, hold ticks, diverged
-      seeds, the run count) are chunk-associative and fold
-      incrementally — ``coverage_3sigma`` divides the folded integers
-      exactly once at :meth:`finalize`;
-    - floating-point statistics (RMS/max error, mean exceedance,
-      ANEES) are **not** chunk-associative under NumPy's pairwise
-      summation, so the per-run rows are kept in arrival order and
-      reduced in one shot by the same expressions the monolithic path
-      runs.
+    ``rows`` are ``(seed, outcome | None)`` in job order — what every
+    ``"ensemble"`` engine returns and what the service regroups per
+    request; ``None`` marks a diverged seed.  The converged outcomes
+    go to :func:`summarize_outcomes` and the diverged seeds are listed
+    in row order.  Returns ``None`` when every seed diverged: there is
+    nothing to aggregate, and each caller reports that its own way.
     """
-
-    def __init__(self) -> None:
-        self._outcomes: list[tuple] = []
-        self._diverged: list[int] = []
-        self._covered = 0
-        self._axis_slots = 0
-
-    def extend(
-        self,
-        outcomes: Sequence[tuple],
-        diverged_seeds: Sequence[int] = (),
-    ) -> None:
-        """Fold one chunk's outcome tuples and diverged seeds in."""
-        for outcome in outcomes:
-            self._covered += int(outcome[1])
-            self._axis_slots += len(outcome[0])
-        self._outcomes.extend(outcomes)
-        self._diverged.extend(int(s) for s in diverged_seeds)
-
-    @property
-    def runs(self) -> int:
-        """Converged runs folded so far."""
-        return len(self._outcomes)
-
-    @property
-    def coverage_so_far(self) -> float:
-        """Incrementally-folded 3-sigma coverage over the runs so far.
-
-        Exact at every chunk boundary: the numerator and denominator
-        are integers, so the single division here equals the
-        monolithic computation over the same prefix.
-        """
-        if self._axis_slots == 0:
-            raise ConfigurationError("no outcomes folded yet")
-        return self._covered / self._axis_slots
-
-    def finalize(self) -> MonteCarloSummary:
-        """Reduce everything folded so far into one summary.
-
-        Delegates to :func:`summarize_outcomes` so the float
-        arithmetic (and the every-run-diverged error path) is the
-        monolithic code, not a copy of it.
-        """
-        return summarize_outcomes(
-            self._outcomes, diverged_seeds=self._diverged
-        )
+    outcomes = [outcome for _, outcome in rows if outcome is not None]
+    if not outcomes:
+        return None
+    diverged = [seed for seed, outcome in rows if outcome is None]
+    return summarize_outcomes(outcomes, diverged_seeds=diverged)
 
 
 @dataclass(frozen=True)
@@ -275,13 +218,15 @@ def _run_job(
     Returns ``None`` when the run's filter diverges — the covariance
     check raises :class:`~repro.errors.FilterDivergenceError`, or the
     non-finite state poisons a LAPACK call (``LinAlgError``).  The
-    caller masks such seeds instead of aborting the ensemble.
+    caller masks such seeds instead of aborting the ensemble.  The
+    job's ACC dropout time becomes an open-ended
+    :class:`~repro.scenarios.faults.SensorDropout` appended after the
+    job's faults, as the lockstep engine injects it.
     """
-    config_kwargs = dict(
-        seed=job.seed,
-        acc_dropout_time=job.acc_dropout_time,
-        faults=job.faults,
-    )
+    faults = job.faults
+    if job.acc_dropout_time is not None:
+        faults += (SensorDropout(sensor="acc", start=job.acc_dropout_time),)
+    config_kwargs = dict(seed=job.seed, faults=faults)
     if job.vibration is not None:
         config_kwargs["vibration"] = job.vibration
     rig = BoresightTestRig(RigConfig(**config_kwargs))
@@ -310,16 +255,18 @@ def _run_job(
 )
 def _run_serial_engine(
     jobs: list[EnsembleJob], workers: int
-) -> MonteCarloSummary:
+) -> list[tuple[int, tuple | None]]:
     """Execute jobs on the oracle engine, serially or process-parallel.
 
     The ``"ensemble"`` domain contract: engines take the typed
-    :class:`EnsembleJob` list plus the ``workers`` count and return a
-    :class:`MonteCarloSummary`.  This oracle runs one
+    :class:`EnsembleJob` list plus the ``workers`` count and return
+    one ``(seed, outcome | None)`` row per job, in job order
+    (``None`` = that seed diverged); callers reduce the rows with
+    :func:`summarize_rows`.  This oracle runs one
     :class:`~repro.experiments.protocol.BoresightTestRig` per seed —
     in-process, or fanned out over a
     :class:`~repro.resilience.pool.WorkerPool` that lives for this
-    call, with deterministic seed-order aggregation.
+    call, with results collected in job order.
     """
     if workers > 1 and len(jobs) > 1:
         pool = WorkerPool(min(workers, len(jobs)))
@@ -337,12 +284,7 @@ def _run_serial_engine(
             pool.shutdown()
     else:
         results = [_run_job(job) for job in jobs]
-
-    outcomes = [outcome for outcome in results if outcome is not None]
-    diverged = [
-        job.seed for job, outcome in zip(jobs, results) if outcome is None
-    ]
-    return summarize_outcomes(outcomes, diverged_seeds=diverged)
+    return [(job.seed, outcome) for job, outcome in zip(jobs, results)]
 
 
 def run_monte_carlo_static(

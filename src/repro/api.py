@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.montecarlo import MonteCarloSummary
+from repro.analysis.montecarlo import MonteCarloSummary, summarize_rows
 from repro.engines import resolve_engine
 from repro.errors import ConfigurationError
 from repro.sabre.harness import FirmwareRequest, FirmwareResult
@@ -164,9 +164,10 @@ def execute(
     and firmware requests are cached whole; campaigns are cached per
     cell, under the supervisor.  A
     :class:`~repro.service.requests.ScenarioRequest` whose every seed
-    diverges raises :class:`~repro.errors.ConfigurationError` (the
-    legacy ensemble behavior — the service and campaign paths report
-    ``None`` summaries instead, because they aggregate many units).
+    diverges raises :class:`~repro.errors.ConfigurationError` here,
+    before anything is cached (the legacy ensemble behavior — the
+    service and campaign paths report ``None`` summaries instead,
+    because they aggregate many units).
 
     ``supervisor`` replaces the campaign path's default
     ``Supervisor()`` (per-cell deadlines, retry/backoff, quarantine —
@@ -199,7 +200,12 @@ def execute(
     if not hit:
         if isinstance(request, ScenarioRequest):
             knobs = {} if chunk_size is None else {"chunk_size": chunk_size}
-            value = impl(request.jobs(), workers, **knobs)
+            value = summarize_rows(impl(request.jobs(), workers, **knobs))
+            if value is None:
+                raise ConfigurationError(
+                    f"every run diverged (seeds {request.seeds}); "
+                    "nothing to summarize"
+                )
         else:
             value = impl(request)
         if cache is not None:

@@ -16,7 +16,6 @@ from repro.experiments.arena import (
     DEFAULT_CHUNK_SIZE,
     StateArena,
     iter_chunks,
-    run_ensemble_chunked,
 )
 from repro.experiments.batch_protocol import (
     DynamicEnsemble,
@@ -37,7 +36,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "StateArena",
     "iter_chunks",
-    "run_ensemble_chunked",
     "BoresightTestRig",
     "RigConfig",
     "TestRun",

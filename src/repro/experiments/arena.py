@@ -10,12 +10,13 @@ Two pieces the whole batch execution path now rides on:
     so streaming a million seeds through the engines allocates like
     streaming one chunk.
 
-:func:`run_ensemble_chunked`
+:func:`iter_job_outcomes`
     Streams an arbitrary job list through the lockstep engine in
-    seed-block chunks, recycling one arena across chunks and reducing
-    each chunk's outcomes incrementally into the final
-    :class:`~repro.analysis.montecarlo.MonteCarloSummary` via
-    :class:`~repro.analysis.montecarlo.OutcomeAccumulator`.
+    seed-block chunks, recycling one arena across chunks and yielding
+    each job's ``(seed, outcome | None)`` row before the next chunk
+    overwrites the scratch.  The ``"ensemble"`` fast engine and the
+    scenario service both run on it; the rows are reduced afterwards,
+    all at once, by :func:`~repro.analysis.montecarlo.summarize_rows`.
 
 Chunking is bit-identical to the monolithic whole-``R`` run at every
 chunk size **by construction**: each seed's RNG tree is independent
@@ -23,8 +24,9 @@ chunk size **by construction**: each seed's RNG tree is independent
 list only partitions which seeds share a stacked array — no draw
 order, no elementwise expression and no reduction changes.  The
 engine-registry harness therefore pins the chunked path against the
-serial oracle for free, and ``tests/test_arena.py`` sweeps chunk
-sizes explicitly (including ``R`` not divisible by the chunk).
+serial oracle for free, and ``tests/test_arena.py`` compares the rows
+seed by seed at explicit chunk sizes (including ``R`` not divisible
+by the chunk).
 
 Buffer-lifetime rule: a view returned by :meth:`StateArena.take` is
 valid until the *next* ``take`` of the same slot name — i.e. for one
@@ -170,36 +172,3 @@ def iter_job_outcomes(
                 yield seed, None
             else:
                 yield seed, next(rows)
-
-
-def run_ensemble_chunked(
-    jobs: Sequence,
-    chunk_size: int | None = None,
-    arena: StateArena | None = None,
-):
-    """Stream ``jobs`` through the lockstep engine in seed-block chunks.
-
-    The execution core behind the ``"ensemble"`` fast engine: each
-    chunk of jobs runs as one stacked lockstep ensemble drawing its
-    ``(R_chunk, …)`` scratch from a single shared ``arena``
-    (:func:`iter_job_outcomes`), and the chunk's per-run outcome rows
-    fold into an
-    :class:`~repro.analysis.montecarlo.OutcomeAccumulator` before the
-    next chunk overwrites the scratch.  The final summary is
-    bit-identical to the monolithic whole-``R`` run (and to the
-    serial oracle) at every ``chunk_size``.
-
-    Callers must have validated the job list already (homogeneity,
-    distinct seeds) — this function only partitions and reduces.
-    """
-    from repro.analysis.montecarlo import OutcomeAccumulator
-
-    accumulator = OutcomeAccumulator()
-    for seed, outcome in iter_job_outcomes(
-        jobs, chunk_size=chunk_size, arena=arena
-    ):
-        if outcome is None:
-            accumulator.extend((), diverged_seeds=(seed,))
-        else:
-            accumulator.extend((outcome,))
-    return accumulator.finalize()

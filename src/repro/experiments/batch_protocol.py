@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.engines import register_engine
 from repro.errors import ConfigurationError, FusionError
-from repro.experiments.arena import StateArena, run_ensemble_chunked
+from repro.experiments.arena import StateArena, iter_job_outcomes
 from repro.experiments.protocol import RigConfig, bench_estimator_config
 from repro.fusion import BoresightConfig
 from repro.fusion.batch_boresight import (
@@ -119,8 +119,8 @@ class LockstepEnsemble:
         masks those seeds the same way.
         """
         if np.all(self.result.diverged):
-            # Nothing converged; let the aggregation report the seeds
-            # (the serial engine raises the identical error there).
+            # Nothing converged; every seed is masked, as the serial
+            # engine masks it.
             return []
         errors = self.errors_vs_truth_deg()
         three_sigma = self.result.three_sigma_deg()
@@ -240,16 +240,12 @@ def _run_lockstep(
     # Inject faults per run, on the row views of the stacked test
     # streams — the identical NumPy expressions the serial rig runs on
     # its per-seed arrays, so faulted ensembles stay bit-exact.  The
-    # legacy per-seed ``acc_dropout`` map rides along as the same
-    # open-ended SensorDropout the RigConfig alias builds, appended
-    # last exactly like :meth:`RigConfig.effective_faults`.
+    # per-seed ``acc_dropout`` map rides along as an open-ended
+    # SensorDropout appended last, exactly as the serial oracle's
+    # ``_run_job`` builds it.
     shared_faults = config.faults + tuple(faults)
     for r, seed in enumerate(seeds):
-        dropout = (
-            acc_dropout.get(int(seed), config.acc_dropout_time)
-            if acc_dropout is not None
-            else config.acc_dropout_time
-        )
+        dropout = (acc_dropout or {}).get(int(seed))
         run_faults = shared_faults
         if dropout is not None:
             run_faults = run_faults + (
@@ -286,7 +282,7 @@ def _ensemble_for_jobs(jobs, arena: StateArena | None = None):
     """Run one homogeneous job block as a single lockstep ensemble.
 
     The per-chunk unit of the chunked scheduler
-    (:func:`repro.experiments.arena.run_ensemble_chunked`): unpacks a
+    (:func:`repro.experiments.arena.iter_job_outcomes`): unpacks a
     validated :class:`~repro.analysis.montecarlo.EnsembleJob` block
     into the static or dynamic lockstep runner, drawing every stacked
     scratch array from ``arena``.
@@ -326,12 +322,12 @@ def run_lockstep_jobs(jobs, workers: int = 1, chunk_size: int | None = None):
 
     Takes the same typed :class:`~repro.analysis.montecarlo.EnsembleJob`
     list as the serial oracle and returns the bit-identical
-    :class:`~repro.analysis.montecarlo.MonteCarloSummary`.  Jobs run
-    in lockstep seed-block chunks of ``chunk_size`` (default
+    ``(seed, outcome | None)`` rows, in job order.  Jobs run in
+    lockstep seed-block chunks of ``chunk_size`` (default
     :data:`~repro.experiments.arena.DEFAULT_CHUNK_SIZE`) over one
     reused :class:`~repro.experiments.arena.StateArena`, so arbitrary
     R streams through bounded memory; chunking only partitions the
-    job list, so the summary is bit-identical at every chunk size.
+    job list, so the rows are bit-identical at every chunk size.
     The jobs must be homogeneous — same trajectory, misalignment,
     estimator config and ``moving`` flag, differing only by seed and
     ACC-dropout time — and single-process (``workers`` must be 1).
@@ -367,7 +363,7 @@ def run_lockstep_jobs(jobs, workers: int = 1, chunk_size: int | None = None):
         raise ConfigurationError(
             "the lockstep engine requires distinct seeds per job"
         )
-    return run_ensemble_chunked(jobs, chunk_size=chunk_size)
+    return list(iter_job_outcomes(jobs, chunk_size=chunk_size))
 
 
 #: Dispatchers check this before building the (expensive) job list so
@@ -396,11 +392,12 @@ def run_static_ensemble(
     pipeline — with all per-seed arrays stacked on a leading run axis.
     ``rig_config`` supplies the shared hardware parameters (its
     ``seed`` field is ignored; the ensemble seeds come from ``seeds``).
-    ``acc_dropout`` maps seeds to an ACC-failure time (see
-    :class:`~repro.experiments.protocol.RigConfig.acc_dropout_time`);
-    seeds whose filter diverges are masked, not fatal.  ``faults``
-    injects the same :mod:`repro.scenarios.faults` chain into every
-    run (per-seed randomness comes from each fault's own RNG).
+    ``acc_dropout`` maps seeds to an ACC-failure time (an open-ended
+    :class:`~repro.scenarios.faults.SensorDropout` from that
+    test-phase time on); seeds whose filter diverges are masked, not
+    fatal.  ``faults`` injects the same :mod:`repro.scenarios.faults`
+    chain into every run (per-seed randomness comes from each fault's
+    own RNG).
     """
     result, calibration = _run_lockstep(
         seeds,

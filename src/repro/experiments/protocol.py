@@ -36,12 +36,7 @@ from repro.fusion import (
 )
 from repro.geometry import EulerAngles
 from repro.rng import make_rng, spawn_child
-from repro.scenarios.faults import (
-    Fault,
-    RunStreams,
-    SensorDropout,
-    apply_faults,
-)
+from repro.scenarios.faults import Fault, RunStreams, apply_faults
 from repro.sensors import DualAxisAccelerometer, Mounting, SixDofImu
 from repro.sensors.acc2 import AccConfig
 from repro.sensors.imu import ImuConfig
@@ -67,14 +62,6 @@ class RigConfig:
     vibration: VibrationSpec = field(default_factory=VibrationSpec)
     #: Lever arm from IMU to ACC, body frame, meters.
     lever_arm: tuple[float, float, float] = (0.8, 0.2, -0.3)
-    #: **Deprecated alias.**  From this test-phase time (seconds)
-    #: onward the ACC channel reads NaN, modelling a dead sensor or a
-    #: severed harness.  Kept for the historical divergence-masking
-    #: studies; it now simply appends an open-ended
-    #: :class:`~repro.scenarios.faults.SensorDropout` to ``faults``
-    #: (see :meth:`effective_faults`) — new code should declare the
-    #: dropout there directly.  ``None`` (default) disables.
-    acc_dropout_time: float | None = None
     #: Fault injectors applied to the test-phase sensor streams, in
     #: order, after sensing and before calibration/reconstruction
     #: (see :mod:`repro.scenarios.faults`).
@@ -85,8 +72,6 @@ class RigConfig:
             raise ConfigurationError(
                 "calibration window longer than the recording"
             )
-        if self.acc_dropout_time is not None and self.acc_dropout_time < 0.0:
-            raise ConfigurationError("ACC dropout time must be >= 0")
         if not isinstance(self.faults, tuple):
             object.__setattr__(self, "faults", tuple(self.faults))
         for fault in self.faults:
@@ -95,21 +80,6 @@ class RigConfig:
                     f"faults must be Fault instances, got "
                     f"{type(fault).__name__}"
                 )
-
-    def effective_faults(self) -> tuple[Fault, ...]:
-        """The configured faults plus the ``acc_dropout_time`` alias.
-
-        The alias builds the exact open-ended ACC dropout the field
-        used to hard-code (``time >= acc_dropout_time`` reads NaN) and
-        appends it *last*, after the declared faults — the regression
-        suite pins that the alias and the explicit fault produce
-        bit-identical trajectories.
-        """
-        if self.acc_dropout_time is None:
-            return self.faults
-        return self.faults + (
-            SensorDropout(sensor="acc", start=self.acc_dropout_time),
-        )
 
 
 def bench_estimator_config(lever_arm: np.ndarray) -> BoresightConfig:
@@ -278,10 +248,9 @@ class BoresightTestRig:
         acc_samples = self.acc.sense(
             trajectory.sample(self.config.acc.sample_rate), vib_acc
         )
-        faults = self.config.effective_faults()
-        if faults:
+        if self.config.faults:
             apply_faults(
-                faults,
+                self.config.faults,
                 RunStreams(
                     imu_time=imu_samples.time,
                     imu_rate=imu_samples.body_rate,

@@ -37,7 +37,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.analysis.montecarlo import EnsembleJob, MonteCarloSummary
+from repro.analysis.montecarlo import (
+    EnsembleJob,
+    MonteCarloSummary,
+    summarize_rows,
+)
 from repro.engines import register_engine, resolve_engine
 from repro.errors import ConfigurationError, TaskTimeoutError
 from repro.experiments.table1 import DEFAULT_MISALIGNMENT
@@ -309,15 +313,9 @@ def _run_cell(
     chunk_size: int | None = None,
 ) -> MonteCarloSummary | None:
     """Run one cell through an ``"ensemble"`` engine; None = all diverged."""
-    jobs = cell.jobs()
     impl = resolve_engine("ensemble", engine)
     kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-    try:
-        return impl(jobs, 1, **kwargs)
-    except ConfigurationError as exc:
-        if "every run diverged" not in str(exc):
-            raise
-        return None
+    return summarize_rows(impl(cell.jobs(), 1, **kwargs))
 
 
 def _run_cell_fast(

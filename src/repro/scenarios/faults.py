@@ -1,10 +1,11 @@
 """Composable fault injectors over the rig's raw sensor streams.
 
-The Monte-Carlo stack grew up with exactly one fault — the
-``RigConfig.acc_dropout_time`` NaN cut — hard-coded into both the
-serial rig and the lockstep ensemble driver.  This module generalizes
-it into a declarative library of :class:`Fault` objects that the
-campaign layer (:mod:`repro.scenarios.campaign`) composes freely.
+The Monte-Carlo stack grew up with exactly one fault — a per-seed
+ACC NaN cut — hard-coded into both the serial rig and the lockstep
+ensemble driver.  This module generalizes it into a declarative
+library of :class:`Fault` objects that the campaign layer
+(:mod:`repro.scenarios.campaign`) composes freely; the per-seed cut
+itself is now an open-ended :class:`SensorDropout`.
 
 Bit-identity by construction
 ----------------------------
@@ -115,8 +116,8 @@ def _window_mask(
     """Boolean mask of samples inside ``[start, start + duration)``.
 
     An open-ended window (``duration=None``) is ``time >= start`` —
-    exactly the mask of the historical ``acc_dropout_time`` cut, which
-    the alias regression test pins.
+    the per-seed ACC dropout cut of
+    :attr:`~repro.analysis.montecarlo.EnsembleJob.acc_dropout_time`.
     """
     if duration is None:
         return time >= start
@@ -142,8 +143,8 @@ class SensorDropout(Fault):
     """A windowed outage: the sensor reads NaN inside the window.
 
     ``duration=None`` leaves the sensor dead for the rest of the run —
-    the generalization of ``RigConfig.acc_dropout_time`` (which builds
-    exactly this fault).  ``jitter`` randomizes each run's window start
+    the fault both ensemble engines build from a job's per-seed
+    ``acc_dropout_time``.  ``jitter`` randomizes each run's window start
     by ±jitter seconds (per-seed, via :func:`fault_rng`), modelling
     failures that do not strike every vehicle at the same instant.
     """
@@ -548,8 +549,8 @@ def apply_faults(
 
     Order matters (a dropout after a drift ramp NaNs the ramped
     values; the reverse ramps the NaNs) and both engines use the same
-    order: the rig's configured faults first, then the per-seed
-    ``acc_dropout_time`` alias fault, if any.
+    order: the scenario's and recipe's faults first, then the job's
+    per-seed ACC dropout, if any.
     """
     for fault in faults:
         if not isinstance(fault, Fault):

@@ -10,10 +10,9 @@ compatible pending requests into lockstep batches through a
 :class:`~repro.scenarios.cache.CampaignCache` (optionally disk-backed)
 before ever scheduling compute, and executes batches through the
 chunked arena core — in-process or across a persistent spawn-worker
-pool, degrading to serial per-request execution when the pool dies.
-Passing a :class:`~repro.resilience.Supervisor` arms the full
-resilience ladder (deadlines, retry/backoff, pool restart, poison
-quarantine) on top of that single-rung fallback.
+pool — under a :class:`~repro.resilience.Supervisor` (``Supervisor()``
+by default): deadlines, retry/backoff, pool restart, serial per-seed
+fallback and poison quarantine.
 
 Per-request results are bit-identical to executing the same request
 alone through the serial oracle: per-seed RNG trees are independent,

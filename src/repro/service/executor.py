@@ -1,9 +1,9 @@
 """Batch execution backends for the scenario service.
 
 Three ways to turn a merged lockstep job list into per-seed outcome
-rows, all producing the *same rows bit for bit* (the engine-registry
-contract, inherited from the chunked arena core and the serial
-oracle):
+rows, all producing the *same rows bit for bit* — the rows both
+``"ensemble"`` engines return, which the engine-registry harness pins
+against each other:
 
 - :func:`run_jobs_inline` — the chunked lockstep core in this
   process, recycling a caller-owned :class:`~repro.experiments.arena.StateArena`
@@ -13,10 +13,11 @@ oracle):
   for the service's lifetime so batch execution never blocks the event
   loop and pays the spawn cost once, not per batch;
 - :func:`run_jobs_serial` — one serial rig per seed, the degraded
-  path the service falls back to when the pool dies.
+  rung the service falls back to when the pool or in-process rung
+  runs out of attempts.
 
 Rows are ``(seed, outcome | None)`` in job order; ``None`` marks a
-diverged seed, exactly like the engines' masking.
+diverged seed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def run_jobs_inline(
 
 
 def run_jobs_serial(jobs: Sequence[EnsembleJob]) -> list[Row]:
-    """One serial rig per seed — the pool-death fallback path.
+    """One serial rig per seed — the service ladder's last rung.
 
     Bit-identical rows to the lockstep path (that is the ensemble
     engine contract), just without the stacked-array throughput.
@@ -64,8 +65,9 @@ class WorkerPool(pool.WorkerPool):
     :meth:`run` raises
     :class:`~concurrent.futures.process.BrokenProcessPool` when the
     pool has died (a worker was killed, the interpreter in it
-    crashed); the service catches that, marks the pool dead and
-    degrades to :func:`run_jobs_serial`.
+    crashed); the service's supervisor restarts the pool and retries
+    the batch, and degrades to :func:`run_jobs_serial` once the pool
+    rung runs out of attempts.
     """
 
     def run(

@@ -51,8 +51,8 @@ class ServiceMetrics:
     batched_requests: int = 0
     #: Distinct jobs (seeds) carried by those batches.
     batched_jobs: int = 0
-    #: Worker-pool failures observed (each flips the service to the
-    #: degraded serial path for the batch that hit it and all later ones).
+    #: Pool-rung attempts lost to a dead worker pool; the ladder
+    #: restarts the pool before it retries the batch.
     pool_failures: int = 0
     #: Batches executed on the degraded serial per-seed path.
     serial_fallback_batches: int = 0
@@ -62,9 +62,6 @@ class ServiceMetrics:
     timeouts: int = 0
     #: Batches/cells quarantined after exhausting the retry ladder.
     quarantined: int = 0
-    #: Campaign cells rehydrated from the write-ahead journal + cache
-    #: on a resumed run instead of being recomputed.
-    resumed_from_journal: int = 0
     #: perf_counter of the first admission; None until then.
     first_request_at: float | None = None
     #: perf_counter of the latest completion; None until then.
@@ -121,7 +118,6 @@ class ServiceMetrics:
             "retries": self.retries,
             "timeouts": self.timeouts,
             "quarantined": self.quarantined,
-            "resumed_from_journal": self.resumed_from_journal,
             "requests_per_second": throughput,
             "latency_p50_seconds": (
                 percentile(self.latencies, 0.50) if self.latencies else None

@@ -18,8 +18,9 @@ lockstep batch is bit-exact (per-seed RNG trees are independent).
 :func:`coalesce_requests` performs the merge, deferring requests whose
 dropout schedule conflicts with an already-merged request on a shared
 seed; :func:`summarize_request` regroups the merged batch's per-seed
-outcome rows back into one summary per request, using the same
-aggregation arithmetic as every execution engine.
+outcome rows back into one summary per request, through the same
+:func:`~repro.analysis.montecarlo.summarize_rows` every caller of an
+ensemble engine uses.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 from repro.analysis.montecarlo import (
     EnsembleJob,
     MonteCarloSummary,
-    summarize_outcomes,
+    summarize_rows,
 )
 from repro.errors import ConfigurationError
 from repro.fusion import BoresightConfig
@@ -170,13 +171,15 @@ class ScenarioResult:
     (the campaign-cell convention).  ``source`` names the execution
     path: ``"cache"``, ``"coalesced"`` (in-process lockstep batch),
     ``"pool"`` (spawn-worker batch), ``"serial-fallback"`` (degraded
-    per-seed execution after a pool failure), ``"quarantined"`` (a
-    supervised service exhausted the retry ladder — ``summary`` is
-    ``None`` and ``fault`` carries the last failure) or ``"direct"``
-    (:func:`repro.api.execute`'s blocking path).  ``batch_size`` counts
-    the requests merged into the executing batch (0 for a cache hit).
-    ``attempts`` counts supervised executions of the serving batch
-    (1 on the unsupervised paths).
+    per-seed execution after the primary rung ran out of attempts),
+    ``"quarantined"`` (the service exhausted its retry ladder —
+    ``summary`` is ``None`` and ``fault`` carries the last failure) or
+    ``"direct"`` (:func:`repro.api.execute`'s blocking path).
+    ``batch_size`` counts the requests merged into the executing batch
+    (0 for a cache hit).
+    ``attempts`` counts the executions of the serving batch across
+    every rung of the service's supervised ladder (1 on the clean
+    path and for :func:`repro.api.execute`).
     """
 
     request: ScenarioRequest
@@ -203,23 +206,15 @@ def summarize_request(
     ``outcome_by_seed`` maps every seed of the merged batch to its
     outcome row (``None`` = that seed diverged).  Selecting this
     request's seeds in request order and feeding them to
-    :func:`~repro.analysis.montecarlo.summarize_outcomes` reproduces,
-    bit for bit, what the serial oracle computes for the request alone:
+    :func:`~repro.analysis.montecarlo.summarize_rows` reproduces, bit
+    for bit, what the serial oracle computes for the request alone:
     the rows themselves are seed-deterministic, and the fold order is
     the request's own seed order either way.  Returns ``None`` when
     every seed diverged.
     """
-    outcomes = []
-    diverged = []
-    for seed in request.seeds:
-        outcome = outcome_by_seed[seed]
-        if outcome is None:
-            diverged.append(seed)
-        else:
-            outcomes.append(outcome)
-    if not outcomes:
-        return None
-    return summarize_outcomes(outcomes, diverged_seeds=diverged)
+    return summarize_rows(
+        [(seed, outcome_by_seed[seed]) for seed in request.seeds]
+    )
 
 
 def coalesce_requests(

@@ -17,11 +17,16 @@ through the serial oracle.  The request lifecycle:
    lockstep core: in-process (``workers=0``) on a dedicated dispatch
    thread recycling one :class:`~repro.experiments.arena.StateArena`,
    or on a persistent spawn :class:`~repro.service.executor.WorkerPool`
-   (``workers >= 1``).  A dead pool degrades the service to serial
-   per-seed execution — recorded in the metrics, never an outage.
+   (``workers >= 1``), always under a
+   :class:`~repro.resilience.Supervisor`.  A dead pool is restarted
+   and the batch retried; a batch whose pool rung runs out of attempts
+   falls back to serial per-seed execution, and one whose serial rung
+   fails too resolves quarantined — recorded in the metrics, never an
+   outage.
 4. **regroup** — the batch's per-seed outcome rows split back into one
-   summary per request (same aggregation arithmetic as every engine),
-   results are cached, futures resolve.
+   summary per request (the same
+   :func:`~repro.analysis.montecarlo.summarize_rows` every engine
+   caller uses), results are cached, futures resolve.
 
 The ``"service"`` registry domain pins the whole pipeline under the
 automatic oracle harness: ``"model"`` executes requests one at a time
@@ -37,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
-from repro.analysis.montecarlo import MonteCarloSummary
+from repro.analysis.montecarlo import MonteCarloSummary, summarize_rows
 from repro.engines import register_engine, resolve_engine
 from repro.errors import ConfigurationError
 from repro.experiments.arena import StateArena
@@ -69,15 +74,14 @@ class ScenarioService:
     execution; share one instance (or one ``cache_dir``) across
     services to reuse results across sessions and processes.
 
-    ``supervisor`` (opt-in) arms the resilience ladder: batch
-    execution runs under its :class:`~repro.resilience.RetryPolicy` —
-    per-attempt deadlines, deterministic backoff between retries, pool
-    restart between pool attempts, serial fallback when the pool rung
-    quarantines, and finally a *quarantined* result (``summary=None``,
+    Every batch runs under ``supervisor`` (``Supervisor()`` when none
+    is passed, as for campaigns) and its
+    :class:`~repro.resilience.RetryPolicy` — per-attempt deadlines,
+    deterministic backoff between retries, pool restart between pool
+    attempts, serial fallback when the pool rung quarantines, and
+    finally a *quarantined* result (``summary=None``,
     ``source="quarantined"``, fault string attached) instead of the
-    batch's exception sinking every request in it.  Without a
-    supervisor the service keeps the original single-attempt ladder
-    (pool → permanent serial fallback on ``BrokenProcessPool``).
+    batch's exception sinking every request in it.
 
     Use as a context manager or call :meth:`close` — the dispatch
     threads and the worker pool are real OS resources.
@@ -99,7 +103,7 @@ class ScenarioService:
             )
         self.metrics = ServiceMetrics()
         self._cache = cache
-        self._supervisor = supervisor
+        self._supervisor = supervisor if supervisor is not None else Supervisor()
         self._chunk_size = chunk_size
         self._arena = StateArena()
         self._pool = WorkerPool(workers) if workers >= 1 else None
@@ -128,8 +132,9 @@ class ScenarioService:
         """Admit one request and await its result.
 
         Raises :class:`~repro.errors.ServiceOverloadError` when the
-        admission queue is full, and re-raises any execution error the
-        request's batch hit.
+        admission queue is full.  Execution errors do not raise: a
+        batch that exhausts the supervised ladder resolves as a
+        quarantined result.
         """
         if self._closed:
             raise ConfigurationError("service is closed")
@@ -181,50 +186,22 @@ class ScenarioService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _run_batch_sync(self, jobs: list) -> tuple[list | None, str, int, str | None]:
-        """Execute one merged batch on the dispatch thread.
-
-        Returns ``(rows, source, attempts, fault)``; ``rows`` is
-        ``None`` only with ``source="quarantined"`` (supervised
-        services, after the whole ladder failed).  Unsupervised: pool
-        path first when a live pool exists; a
-        :class:`BrokenProcessPool` marks it dead and the batch (and
-        all later ones) degrades to serial per-seed execution rather
-        than failing the requests.
-        """
-        if self._supervisor is not None:
-            return self._run_batch_supervised(jobs)
-        if self._pool is not None and not self._pool.broken:
-            try:
-                return self._pool.run(jobs, self._chunk_size), "pool", 1, None
-            except BrokenProcessPool:
-                self.metrics.pool_failures += 1
-        elif self._pool is None:
-            # In-process: dispatch threads == 1, so the arena is only
-            # ever touched by one batch at a time.
-            rows = run_jobs_inline(
-                jobs, chunk_size=self._chunk_size, arena=self._arena
-            )
-            return rows, "coalesced", 1, None
-        self.metrics.serial_fallback_batches += 1
-        return run_jobs_serial(jobs), "serial-fallback", 1, None
-
     def _repair_pool(self) -> None:
         """Between-attempts repair hook: rebuild a dead worker pool."""
         if self._pool is not None and self._pool.broken:
             self._pool.restart()
 
-    def _run_batch_supervised(
-        self, jobs: list
-    ) -> tuple[list | None, str, int, str | None]:
-        """The resilience ladder for one batch.
+    def _run_batch_sync(self, jobs: list) -> tuple[list | None, str, int, str | None]:
+        """The resilience ladder for one merged batch, on a dispatch thread.
 
-        Primary rung (pool or in-process lockstep) retried under the
-        supervisor's policy; if it quarantines, the serial per-seed
-        rung gets its own supervised attempts (deadline off — the last
-        resort optimizes for completing, and retries stay
-        bit-identical replays either way); if that quarantines too,
-        the batch is reported quarantined instead of raising.
+        Returns ``(rows, source, attempts, fault)``.  The primary rung
+        (pool or in-process lockstep) is retried under the supervisor's
+        policy; if it quarantines, the serial per-seed rung gets its
+        own supervised attempts (deadline off — the last resort
+        optimizes for completing, and retries stay bit-identical
+        replays either way); if that quarantines too, ``rows`` is
+        ``None`` and the batch is reported quarantined instead of
+        raising.
         """
         supervisor = self._supervisor
         deadline = supervisor.policy.deadline
@@ -251,9 +228,11 @@ class ScenarioService:
         else:
 
             def primary() -> list:
-                # Under a deadline the watchdog thread survives a
-                # timeout; a fresh arena per attempt keeps a zombie
-                # attempt from racing the retry's buffers.
+                # In process there is one dispatch thread, so the arena
+                # serves one batch at a time.  Under a deadline the
+                # watchdog thread survives a timeout; a fresh arena per
+                # attempt keeps a zombie attempt from racing the
+                # retry's buffers.
                 arena = self._arena if deadline is None else None
                 return run_jobs_inline(
                     jobs, chunk_size=self._chunk_size, arena=arena
@@ -416,15 +395,7 @@ def run_requests_serial(
             "use workers=1 (pool execution belongs to engine='fast')"
         )
     oracle = resolve_engine("ensemble", "model")
-    summaries: list[MonteCarloSummary | None] = []
-    for request in requests:
-        try:
-            summaries.append(oracle(request.jobs(), 1))
-        except ConfigurationError as exc:
-            if "every run diverged" not in str(exc):
-                raise
-            summaries.append(None)
-    return summaries
+    return [summarize_rows(oracle(request.jobs(), 1)) for request in requests]
 
 
 run_requests_serial.single_process = True

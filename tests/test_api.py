@@ -69,6 +69,22 @@ class TestScenarioRouting:
         assert first.summary == second.summary
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_every_seed_diverged_raises_before_caching(self):
+        drive = ScenarioSpec(
+            name="drive", profile="city_drive", duration=60.0, route_seed=50
+        )
+        request = ScenarioRequest(
+            scenario=drive,
+            seeds=(800, 801),
+            acc_dropout=((800, 0.0), (801, 0.0)),
+        )
+        cache = CampaignCache()
+        with pytest.raises(
+            ConfigurationError, match=r"every run diverged \(seeds \(800, 801\)\)"
+        ):
+            execute(request, cache=cache)
+        assert len(cache) == 0
+
 
 class TestKnobUniformity:
     def test_chunk_size_streams_bit_identically(self):

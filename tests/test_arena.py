@@ -1,14 +1,15 @@
-"""State arena, chunked scheduler and incremental-reduction contracts.
+"""State arena, chunked scheduler and row-reduction contracts.
 
 The load-bearing claim of :mod:`repro.experiments.arena` is
 bit-identity by construction: chunking only partitions the job list —
-every run's RNG tree is rooted at its own seed — and the reduction
-folds integers incrementally while deferring float statistics to the
-monolithic :func:`~repro.analysis.montecarlo.summarize_outcomes`.
-These tests pin that claim at the unit level (arena buffer reuse,
-chunk iteration, accumulator equality at every chunk size) and end to
-end (chunk=1 vs chunk=R vs the serial oracle, R not divisible by the
-chunk size, a faulted campaign cell crossing chunk boundaries).
+every run's RNG tree is rooted at its own seed — so each seed's
+outcome row is the same at every chunk size, and the one reduction,
+:func:`~repro.analysis.montecarlo.summarize_rows`, runs over the rows
+of the whole ensemble.  These tests pin that claim at the unit level
+(arena buffer reuse, chunk iteration, the row reduction) and end to
+end: model and fast rows compared seed by seed at chunk=1, an uneven
+chunk=2 and chunk=R, and for a faulted campaign cell crossing chunk
+boundaries.
 """
 
 import numpy as np
@@ -16,17 +17,17 @@ import pytest
 
 from repro.analysis.montecarlo import (
     EnsembleJob,
-    OutcomeAccumulator,
     run_monte_carlo_static,
     summarize_outcomes,
+    summarize_rows,
 )
-from repro.engines import resolve_engine
+from repro.engines import assert_payloads_equal, resolve_engine
 from repro.errors import ConfigurationError
 from repro.experiments.arena import (
     DEFAULT_CHUNK_SIZE,
     StateArena,
     iter_chunks,
-    run_ensemble_chunked,
+    iter_job_outcomes,
 )
 from repro.experiments.batch_protocol import run_lockstep_jobs
 from repro.experiments.table1 import static_estimator_config
@@ -96,8 +97,8 @@ class TestIterChunks:
             list(iter_chunks([1], 0))
 
 
-class TestOutcomeAccumulator:
-    """Chunked reduction == monolithic reduction, at every chunk size."""
+class TestSummarizeRows:
+    """The one reduction from per-seed rows to a summary."""
 
     @staticmethod
     def _outcomes(count: int, axes: int = 3) -> list[tuple]:
@@ -113,42 +114,27 @@ class TestOutcomeAccumulator:
             )
         return outcomes
 
-    def test_chunk_size_sweep_matches_monolithic(self):
-        outcomes = self._outcomes(7)
-        expected = summarize_outcomes(outcomes, diverged_seeds=(99,))
-        for chunk_size in range(1, len(outcomes) + 1):
-            accumulator = OutcomeAccumulator()
-            accumulator.extend([], diverged_seeds=(99,))
-            for chunk in iter_chunks(outcomes, chunk_size):
-                accumulator.extend(chunk)
-            got = accumulator.finalize()
-            # MonteCarloSummary.__eq__ is exact (array_equal, not
-            # allclose) — bit-identity at every chunk size.
-            assert got == expected, f"chunk_size={chunk_size}"
-            assert got.coverage_3sigma == accumulator.coverage_so_far
-
-    def test_coverage_fold_is_exact_integer_arithmetic(self):
+    def test_mixed_rows_match_summarize_outcomes(self):
         outcomes = self._outcomes(5)
-        accumulator = OutcomeAccumulator()
-        covered = slots = 0
-        for outcome in outcomes:
-            accumulator.extend([outcome])
-            covered += outcome[1]
-            slots += len(outcome[0])
-            assert accumulator.coverage_so_far == covered / slots
+        # Diverged seeds out of numeric order: the summary lists them
+        # in row order, and only the survivors are aggregated.
+        rows = [
+            (30, outcomes[0]),
+            (12, None),
+            (31, outcomes[1]),
+            (32, outcomes[2]),
+            (5, None),
+            (33, outcomes[3]),
+            (34, outcomes[4]),
+        ]
+        summary = summarize_rows(rows)
+        # MonteCarloSummary.__eq__ is exact (array_equal, not allclose).
+        assert summary == summarize_outcomes(outcomes, diverged_seeds=(12, 5))
+        assert summary.diverged_seeds == (12, 5)
+        assert summary.runs == 5
 
-    def test_empty_accumulator_raises(self):
-        accumulator = OutcomeAccumulator()
-        with pytest.raises(ConfigurationError, match="no outcomes"):
-            accumulator.coverage_so_far
-        with pytest.raises(ConfigurationError, match="no outcomes"):
-            accumulator.finalize()
-
-    def test_all_diverged_raises_the_engine_contract_error(self):
-        accumulator = OutcomeAccumulator()
-        accumulator.extend([], diverged_seeds=(7, 8))
-        with pytest.raises(ConfigurationError, match="every run diverged"):
-            accumulator.finalize()
+    def test_every_seed_diverged_gives_none(self):
+        assert summarize_rows([(7, None), (8, None)]) is None
 
 
 class TestAnees:
@@ -189,24 +175,34 @@ def _static_jobs(runs: int) -> list[EnsembleJob]:
     ]
 
 
+def _assert_rows_equal(rows, oracle, label):
+    """Rows equal seed by seed: values bitwise, types and dtypes too."""
+    assert_payloads_equal(rows, oracle, label)
+    types = [[type(value) for value in row or ()] for _, row in rows]
+    assert types == [
+        [type(value) for value in row or ()] for _, row in oracle
+    ], label
+    assert summarize_rows(rows) == summarize_rows(oracle), label
+
+
 @pytest.mark.slow
 class TestChunkBoundaryBitIdentity:
     def test_every_chunking_matches_the_serial_oracle(self):
         jobs = _static_jobs(5)
         oracle = resolve_engine("ensemble", "model")(jobs, 1)
-        assert oracle.anees is not None
+        assert summarize_rows(oracle).anees is not None
         # chunk=1, an uneven 2+2+1 split, chunk=R, and the default.
         for chunk_size in (1, 2, 5, None):
-            summary = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
-            assert summary == oracle, f"chunk_size={chunk_size}"
+            rows = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
+            _assert_rows_equal(rows, oracle, f"chunk_size={chunk_size}")
 
     def test_explicit_arena_reuse_across_ensembles(self):
         jobs = _static_jobs(4)
         arena = StateArena()
-        first = run_ensemble_chunked(jobs, chunk_size=2, arena=arena)
+        first = list(iter_job_outcomes(jobs, chunk_size=2, arena=arena))
         slots_after_first = set(arena.slot_names)
-        second = run_ensemble_chunked(jobs, chunk_size=3, arena=arena)
-        assert first == second
+        second = list(iter_job_outcomes(jobs, chunk_size=3, arena=arena))
+        _assert_rows_equal(second, first, "second pass")
         # Reuse, not growth: a second pass takes the same slots.
         assert set(arena.slot_names) == slots_after_first
 
@@ -216,13 +212,13 @@ class TestChunkBoundaryBitIdentity:
             base_seed=700, engine="fast",
         )
         chunked = run_lockstep_jobs(_static_jobs(4), 1, chunk_size=3)
-        assert chunked == monolithic
+        assert summarize_rows(chunked) == monolithic
 
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="chunk"):
             run_lockstep_jobs(_static_jobs(2), 1, chunk_size=0)
         with pytest.raises(ConfigurationError, match="at least one"):
-            run_ensemble_chunked([])
+            list(iter_job_outcomes([]))
 
 
 @pytest.mark.slow
@@ -239,9 +235,10 @@ class TestFaultedCampaignCellChunking:
         )
         jobs = cell.jobs()
         oracle = resolve_engine("ensemble", "model")(jobs, 1)
-        for chunk_size in (1, 2):
-            summary = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
-            assert summary == oracle, f"chunk_size={chunk_size}"
+        # chunk=1, an uneven 2+1 split and chunk=R.
+        for chunk_size in (1, 2, 3):
+            rows = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
+            _assert_rows_equal(rows, oracle, f"chunk_size={chunk_size}")
 
 
 def test_default_chunk_size_sane():

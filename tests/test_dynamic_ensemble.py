@@ -28,6 +28,7 @@ from repro.fusion.confidence import ResidualMonitor
 from repro.fusion.kalman import Innovation
 from repro.geometry import EulerAngles
 from repro.rng import make_rng, spawn_child
+from repro.scenarios.faults import SensorDropout
 from repro.vehicle import VibrationModel, VibrationSpec, stack_vibration_fields
 from repro.vehicle.profiles import city_drive_profile
 
@@ -231,7 +232,8 @@ class TestMonteCarloDynamicFastEngine:
 
 class TestSerialDropout:
     def test_rig_dropout_diverges_serially(self, short_drive):
-        rig = BoresightTestRig(RigConfig(seed=101, acc_dropout_time=60.0))
+        dropout = SensorDropout(sensor="acc", start=60.0)
+        rig = BoresightTestRig(RigConfig(seed=101, faults=(dropout,)))
         with pytest.raises((FilterDivergenceError, np.linalg.LinAlgError)):
             rig.run(
                 MISALIGNMENT,
@@ -239,10 +241,6 @@ class TestSerialDropout:
                 estimator_config=dynamic_estimator_config(0.03),
                 moving=True,
             )
-
-    def test_dropout_time_validation(self):
-        with pytest.raises(ConfigurationError):
-            RigConfig(acc_dropout_time=-1.0)
 
 
 class TestMaskedFilterPrimitives:

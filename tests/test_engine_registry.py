@@ -224,6 +224,19 @@ class TestRegistryMechanics:
         ]
         assert offenders == []
 
+    def test_divergence_is_reported_in_one_place(self):
+        # Every summary comes from summarize_rows; only execute() turns
+        # "every seed diverged" into an error, and no code recovers
+        # from an error by matching its message.
+        sources = {
+            str(path.relative_to(SRC)): path.read_text()
+            for path in sorted(SRC.rglob("*.py"))
+        }
+        assert [p for p, text in sources.items() if "in str(exc)" in text] == []
+        assert [
+            p for p, text in sources.items() if "every run diverged" in text
+        ] == ["api.py"]
+
 
 class TestPayloadComparison:
     def test_structural_mismatches_detected(self):

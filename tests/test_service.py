@@ -10,9 +10,10 @@ The tentpole contracts of :mod:`repro.service`:
 2. **Backpressure** — a full admission queue rejects with the typed
    :class:`~repro.errors.ServiceOverloadError`; already-admitted
    requests still complete.
-3. **Graceful degradation** — a dead worker pool flips the service to
-   serial per-request execution, recorded in the metrics, with
-   results still bit-identical.
+3. **Graceful degradation** — a dead worker pool is restarted and the
+   batch retried; only a pool that stays dead through every attempt
+   sends the batch to serial per-seed execution.  Both are recorded
+   in the metrics, with results still bit-identical.
 4. **Cache tier** — a repeated request is served from the result
    cache without re-entering the batcher.
 
@@ -292,7 +293,7 @@ class TestGracefulDegradation:
         async def scenario():
             service = ScenarioService(workers=1, max_wait=0.001)
 
-            def dead_run(jobs, chunk_size=None):
+            def dead_run(jobs, chunk_size=None, timeout=None):
                 service._pool._broken = True
                 raise BrokenProcessPool("worker killed")
 
@@ -301,7 +302,9 @@ class TestGracefulDegradation:
                 first = await service.submit(
                     ScenarioRequest(scenario=BENCH, seeds=(300, 301))
                 )
-                # The pool is dead now; later batches skip it entirely.
+                # The pool stays dead through every restart: each batch
+                # spends the default policy's three pool attempts, then
+                # completes on its first serial attempt.
                 second = await service.submit(
                     ScenarioRequest(scenario=BENCH, seeds=(302,))
                 )
@@ -310,7 +313,8 @@ class TestGracefulDegradation:
         service, first, second = asyncio.run(scenario())
         assert first.source == "serial-fallback"
         assert second.source == "serial-fallback"
-        assert service.metrics.pool_failures == 1
+        assert first.attempts == second.attempts == 4
+        assert service.metrics.pool_failures == 6
         assert service.metrics.serial_fallback_batches == 2
         oracle = _oracle([first.request, second.request])
         assert [first.summary, second.summary] == oracle
@@ -318,9 +322,9 @@ class TestGracefulDegradation:
     def test_midbatch_worker_kill_falls_back_bit_identically(self):
         # A real SIGKILL, not a monkeypatched raise: the workers die
         # while a coalesced batch is executing, the in-flight future
-        # surfaces BrokenProcessPool, and the service re-runs the batch
-        # on the serial rung — bit-identical to the oracle, with the
-        # outage on the books.
+        # surfaces BrokenProcessPool, and the service restarts the pool
+        # and re-runs the batch there — bit-identical to the oracle,
+        # with the outage on the books.
         import threading
         import time
 
@@ -354,15 +358,16 @@ class TestGracefulDegradation:
             return service, results
 
         service, results = asyncio.run(scenario())
-        assert all(r.source == "serial-fallback" for r in results)
-        assert service.metrics.pool_failures >= 1
-        assert service.metrics.serial_fallback_batches >= 1
+        assert all(r.source == "pool" and r.attempts == 2 for r in results)
+        assert service.metrics.pool_failures == 1
+        assert service.metrics.serial_fallback_batches == 0
         oracle = _oracle(requests)
         assert [r.summary for r in results] == oracle
 
     def test_results_survive_pool_death_bit_identically(self):
-        # The degraded path is the serial oracle path, so the
-        # registry's bit-identity contract extends through the outage.
+        # A pool already marked dead fails the first attempt; the
+        # restarted pool serves the retry, and the registry's
+        # bit-identity contract extends through the outage.
         request = ScenarioRequest(scenario=BENCH, seeds=(310, 311, 312))
 
         async def scenario():
@@ -372,7 +377,8 @@ class TestGracefulDegradation:
                 return await service.submit(request)
 
         result = asyncio.run(scenario())
-        assert result.source == "serial-fallback"
+        assert result.source == "pool"
+        assert result.attempts == 2
         assert result.summary == _oracle([request])[0]
 
 
