@@ -17,12 +17,11 @@ import os
 
 import pytest
 
-from run_campaign import measure_campaign
+from run_campaign import CORES, measure_campaign
 
 pytestmark = pytest.mark.bench
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
-CORES = len(os.sched_getaffinity(0)) or os.cpu_count() or 1
 
 if SMOKE:
     GRID = dict(scenario_count=2, fault_count=2, seeds=2)

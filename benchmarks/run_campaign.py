@@ -8,9 +8,11 @@ the two produce bit-identical cell summaries, and writes
     PYTHONPATH=src python benchmarks/run_campaign.py
 
 The headline ``speedup`` is serial seconds / sharded seconds for the
-same grid; ``cells_per_second`` rides along for both paths.  Shard
-workers are spawned processes, so this module must be run as a real
-script (the ``__main__`` guard below is load-bearing) —
+same grid; ``cells_per_second`` rides along for both paths.  The
+sharded run uses one worker per core this process may run on, and the
+report records that ``cores`` count.  Shard workers are spawned
+processes, so this module must be run as a real script (the
+``__main__`` guard below is load-bearing) —
 ``benchmarks/bench_campaign.py`` runs the same measurement under
 pytest with floor assertions.
 """
@@ -27,6 +29,9 @@ from repro.scenarios.campaign import (
 )
 
 REPORT_PATH = REPO_ROOT / "BENCH_campaign.json"
+
+#: The cores this process may run on: the sharded run's worker count.
+CORES = len(os.sched_getaffinity(0)) or os.cpu_count() or 1
 
 
 def build_spec(scenario_count: int, fault_count: int, seeds: int) -> CampaignSpec:
@@ -45,7 +50,7 @@ def measure_campaign(
     scenario_count: int = 3,
     fault_count: int = 4,
     seeds: int = 4,
-    workers: int = 4,
+    workers: int = CORES,
 ) -> dict:
     """One grid, serial vs sharded, with the bit-identity verdict."""
     spec = build_spec(scenario_count, fault_count, seeds)
@@ -66,6 +71,7 @@ def measure_campaign(
     return {
         "cells": cells,
         "runs_per_cell": seeds,
+        "cores": CORES,
         "workers": workers,
         "serial_seconds": serial_seconds,
         "sharded_seconds": sharded_seconds,

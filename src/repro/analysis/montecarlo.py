@@ -69,19 +69,17 @@ class MonteCarloSummary:
     coverage_3sigma: float
     #: Mean residual 3-sigma exceedance fraction across runs.
     mean_exceedance: float
+    #: Average normalized estimation error squared over the converged
+    #: runs — the χ²-style filter-calibration statistic, computed
+    #: vectorized over the ``(R, n)`` error/sigma stacks.  A perfectly
+    #: calibrated filter scores near the error dimensionality ``n``.
+    anees: float
     #: Seeds whose filter diverged; masked out of every aggregate above.
     diverged_seeds: tuple[int, ...] = ()
     #: Per converged run, in seed order: ``"degraded"`` when the run
     #: spent any tick on the dead-reckoning hold rung of the
     #: degradation ladder (``fallback_hold``), else ``"full"``.
     fallback_states: tuple[str, ...] = ()
-    #: Average normalized estimation error squared over the converged
-    #: runs — the χ²-style filter-calibration statistic, computed
-    #: vectorized over the ``(R, n)`` error/sigma stacks.  A perfectly
-    #: calibrated filter scores near the error dimensionality ``n``.
-    #: ``None`` when the outcomes carried no 3-sigma vectors (legacy
-    #: 3-/4-tuple producers).
-    anees: float | None = None
 
     @property
     def fallback_counts(self) -> dict[str, int]:
@@ -117,20 +115,17 @@ def summarize_outcomes(
 ) -> MonteCarloSummary:
     """Aggregate per-run outcome tuples.
 
-    Each outcome is ``(error_deg, covered, exceedance)``, ``(...,
-    hold_ticks)`` with the degradation ladder armed, or ``(...,
-    hold_ticks, three_sigma_deg)`` when the producer also reports the
-    per-run 3-sigma vector; shorter tuples count as zero hold ticks
-    and no calibration statistic.  Every summary is built here
-    (through :func:`summarize_rows`), whichever engine produced the
-    rows, so the aggregation arithmetic — and therefore the
-    bit-identity contract between engines — lives in exactly one
-    place.  The 3-sigma coverage denominator is ``runs`` times the
-    error dimensionality taken from the error vectors themselves.
-    When every outcome carries a 3-sigma vector, ANEES is computed
-    vectorized over the stacked ``(R, n)`` error/sigma matrices.
-    ``diverged_seeds`` records seeds already masked out of
-    ``outcomes``; ``runs`` counts only the converged runs.
+    Each outcome is ``(error_deg, covered, exceedance, hold_ticks,
+    three_sigma_deg)``, as both ensemble engines produce it.  Every
+    summary is built here (through :func:`summarize_rows`), whichever
+    engine produced the rows, so the aggregation arithmetic — and
+    therefore the bit-identity contract between engines — lives in
+    exactly one place.  The 3-sigma coverage denominator is ``runs``
+    times the error dimensionality taken from the error vectors
+    themselves; ANEES is computed vectorized over the stacked
+    ``(R, n)`` error/sigma matrices.  ``diverged_seeds`` records seeds
+    already masked out of ``outcomes``; ``runs`` counts only the
+    converged runs.
     """
     if not outcomes:
         raise ConfigurationError("no outcomes to summarize")
@@ -138,32 +133,24 @@ def summarize_outcomes(
     errors = [outcome[0] for outcome in outcomes]
     covered = sum(outcome[1] for outcome in outcomes)
     exceedances = [outcome[2] for outcome in outcomes]
-    hold_ticks = [
-        int(outcome[3]) if len(outcome) > 3 else 0 for outcome in outcomes
-    ]
-    sigmas = [
-        outcome[4] if len(outcome) > 4 else None for outcome in outcomes
-    ]
+    hold_ticks = [int(outcome[3]) for outcome in outcomes]
     error_matrix = np.array(errors)
     axis_count = error_matrix.shape[1]
-    anees = None
-    if all(sigma is not None for sigma in sigmas):
-        # One-sigma from the reported 3-sigma bound; NEES per run over
-        # the whitened (R, n) stack, then the ensemble average.
-        sigma_matrix = np.array(sigmas) / 3.0
-        nees = np.sum((error_matrix / sigma_matrix) ** 2, axis=1)
-        anees = float(np.mean(nees))
+    # One-sigma from the reported 3-sigma bound; NEES per run over the
+    # whitened (R, n) stack, then the ensemble average.
+    sigma_matrix = np.array([outcome[4] for outcome in outcomes]) / 3.0
+    nees = np.sum((error_matrix / sigma_matrix) ** 2, axis=1)
     return MonteCarloSummary(
         runs=runs,
         rms_error_deg=np.sqrt(np.mean(error_matrix**2, axis=0)),
         max_error_deg=np.max(np.abs(error_matrix), axis=0),
         coverage_3sigma=covered / (runs * axis_count),
         mean_exceedance=float(np.mean(exceedances)),
+        anees=float(np.mean(nees)),
         diverged_seeds=tuple(int(s) for s in diverged_seeds),
         fallback_states=tuple(
             "degraded" if ticks > 0 else "full" for ticks in hold_ticks
         ),
-        anees=anees,
     )
 
 

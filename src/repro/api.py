@@ -165,9 +165,10 @@ def execute(
     cell, under the supervisor.  A
     :class:`~repro.service.requests.ScenarioRequest` whose every seed
     diverges raises :class:`~repro.errors.ConfigurationError` here,
-    before anything is cached (the legacy ensemble behavior — the
-    service and campaign paths report ``None`` summaries instead,
-    because they aggregate many units).
+    before anything is cached, and so does a cache hit holding that
+    verdict (the legacy ensemble behavior — the service and campaign
+    paths report, and cache, ``None`` summaries instead, because they
+    aggregate many units).
 
     ``supervisor`` replaces the campaign path's default
     ``Supervisor()`` (per-cell deadlines, retry/backoff, quarantine —
@@ -201,15 +202,15 @@ def execute(
         if isinstance(request, ScenarioRequest):
             knobs = {} if chunk_size is None else {"chunk_size": chunk_size}
             value = summarize_rows(impl(request.jobs(), workers, **knobs))
-            if value is None:
-                raise ConfigurationError(
-                    f"every run diverged (seeds {request.seeds}); "
-                    "nothing to summarize"
-                )
         else:
             value = impl(request)
-        if cache is not None:
-            cache.store(request, value)
+    if value is None and isinstance(request, ScenarioRequest):
+        raise ConfigurationError(
+            f"every run diverged (seeds {request.seeds}); "
+            "nothing to summarize"
+        )
+    if not hit and cache is not None:
+        cache.store(request, value)
     if isinstance(request, ScenarioRequest):
         result_type, units = ScenarioResult, 1
     else:

@@ -6,8 +6,9 @@ rung (``BrokenProcessPool`` -> serial fallback) into a ladder:
 1. **retry** — transient failures replay the same seed-deterministic
    work (bit-identical on success) up to ``RetryPolicy.max_attempts``;
 2. **backoff** — deterministic exponential delay between attempts;
-3. **deadline** — per-task timeouts with a worker watchdog that kills
-   hung workers so the retry starts clean;
+3. **deadline** — per-attempt timeouts, counted from each task's own
+   start: a watchdog thread in process; on a pool, the hung worker is
+   killed and the retry runs on the restarted pool;
 4. **quarantine** — a task that exhausts its attempts (or fails
    permanently) is recorded with its fault string instead of sinking
    the whole run;
@@ -16,7 +17,11 @@ rung (``BrokenProcessPool`` -> serial fallback) into a ladder:
 
 :class:`~repro.resilience.pool.WorkerPool` is the one process pool
 every parallel run uses (campaign cells, ensemble seeds, service
-batches); this package depends on nothing above :mod:`repro.errors`.
+batches), and :meth:`Supervisor.map <repro.resilience.supervisor.Supervisor.map>`
+the one ladder that campaign cells and service batches climb on it:
+both build their pool with ``Supervisor.pool_factory`` and retry, time
+out and restart it there.  This package depends on nothing above
+:mod:`repro.errors`.
 
 :mod:`repro.resilience.chaos` is the proof harness: seeded schedules
 that kill workers mid-flight, delay tasks past deadlines, raise

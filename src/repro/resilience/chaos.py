@@ -140,10 +140,10 @@ class ChaosPool:
     """A worker-pool proxy that injects scheduled faults per call.
 
     Wraps anything with the :class:`~repro.resilience.pool.WorkerPool`
-    surface pooled campaigns use (``submit``/``kill_workers``/
-    ``restart``/``broken``/``shutdown``).  Install via
-    ``Supervisor(pool_factory=...)`` so campaigns build their pool
-    pre-wrapped.
+    surface :meth:`~repro.resilience.supervisor.Supervisor.map` uses
+    (``workers``/``submit``/``kill_workers``/``restart``/``broken``/
+    ``shutdown``).  Install via ``Supervisor(pool_factory=...)`` so
+    campaigns and the scenario service build their pool pre-wrapped.
     """
 
     def __init__(self, pool: object, schedule: ChaosSchedule) -> None:

@@ -3,16 +3,18 @@
 One spawn-process pool type behind every ``workers > 1`` path: the
 ensemble oracle's seed fan-out, campaign cells and the scenario
 service's batches.  Callers own a pool for as long as they need it —
-one call for campaigns and ensembles, one instance for a service — and
-use only this surface:
+one call for campaigns and ensembles, one instance for a service —
+and use only this surface:
 
 - :meth:`WorkerPool.submit` — one task, returning its future;
-- :meth:`WorkerPool.call` — one task, blocking until done or deadline;
 - :meth:`WorkerPool.kill_workers` — the deadline watchdog (SIGKILL);
 - :meth:`WorkerPool.restart` / :meth:`WorkerPool.shutdown`.
 
-The chaos harness (:class:`~repro.resilience.chaos.ChaosPool`) proxies
-exactly ``submit``/``kill_workers``/``restart``/``broken``/``shutdown``,
+Campaign cells and service batches reach their pool only through
+:meth:`~repro.resilience.supervisor.Supervisor.map`, on a pool built by
+``Supervisor.pool_factory``.  The chaos harness
+(:class:`~repro.resilience.chaos.ChaosPool`) proxies exactly
+``workers``/``submit``/``kill_workers``/``restart``/``broken``/``shutdown``,
 so supervised code that sticks to those runs under chaos unchanged.
 """
 
@@ -20,11 +22,10 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable
 
-from repro.errors import ConfigurationError, TaskTimeoutError
+from repro.errors import ConfigurationError
 
 
 class WorkerPool:
@@ -63,31 +64,6 @@ class WorkerPool:
             raise BrokenProcessPool("worker pool already marked dead")
         try:
             return self._pool.submit(fn, *args)
-        except BrokenProcessPool:
-            self._broken = True
-            raise
-
-    def call(
-        self, fn: Callable, *args: object, timeout: float | None = None
-    ) -> object:
-        """Run one task on a worker, blocking until done or deadline.
-
-        On a deadline miss the watchdog SIGKILLs the workers — a hung
-        task cannot be cancelled any gentler from the parent — marks
-        the pool broken, and raises
-        :class:`~repro.errors.TaskTimeoutError` (transient: the
-        supervisor restarts the pool and replays).  A died-underneath
-        pool raises :class:`BrokenProcessPool` as before.
-        """
-        future = self.submit(fn, *args)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            self.kill_workers()
-            raise TaskTimeoutError(
-                f"{getattr(fn, '__name__', fn)!s}: exceeded "
-                f"{timeout:g}s pool deadline"
-            ) from None
         except BrokenProcessPool:
             self._broken = True
             raise

@@ -1,17 +1,23 @@
 """The resilience supervisor: deadlines, bounded retry, quarantine.
 
-A :class:`Supervisor` runs a task (any zero-argument callable) under a
-:class:`RetryPolicy`:
+A :class:`Supervisor` runs tasks under a :class:`RetryPolicy`:
 
 - failures classified *transient* are retried after a deterministic
   exponential backoff, up to ``max_attempts`` total attempts;
 - failures classified *permanent* quarantine immediately — the work is
   a deterministic function of its inputs, so replaying a permanent
   fault only burns time;
-- an optional per-attempt ``deadline`` is enforced by a watchdog
-  thread; a deadline miss raises
-  :class:`~repro.errors.TaskTimeoutError` (transient) and counts in
-  the outcome's ``timeouts``.
+- an optional per-attempt ``deadline``: in process a watchdog thread
+  raises :class:`~repro.errors.TaskTimeoutError` (transient) on a miss;
+  on a worker pool the hung worker is SIGKILLed.  Either way the miss
+  counts in the outcome's ``timeouts``.
+
+:meth:`Supervisor.run` climbs that ladder for one zero-argument
+callable.  :meth:`Supervisor.map` climbs it for many items at once:
+in process one item at a time through :meth:`~Supervisor.run`, or on
+a :class:`~repro.resilience.pool.WorkerPool` (campaign cells, service
+batches) with the pool refilled as items finish and restarted when it
+breaks.
 
 The result is always a :class:`SupervisedOutcome` — ``completed`` with
 the task's value, or ``quarantined`` with the last fault string.  The
@@ -28,10 +34,14 @@ against the oracle, and the chaos suite pins the recovered ones.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import (
     ConfigurationError,
@@ -109,7 +119,9 @@ class SupervisedOutcome:
     or ``"quarantined"`` (``fault`` holds the last failure as
     ``"ExcType: message"``).  ``attempts`` counts executions,
     ``retries = attempts - 1`` of which were replays; ``timeouts``
-    counts the attempts that died on the deadline.
+    counts the attempts that died on the deadline and
+    ``pool_failures`` the attempts lost to a broken worker pool
+    (:class:`~concurrent.futures.process.BrokenProcessPool`).
     """
 
     status: str
@@ -117,6 +129,7 @@ class SupervisedOutcome:
     attempts: int = 1
     retries: int = 0
     timeouts: int = 0
+    pool_failures: int = 0
     fault: str | None = None
 
     @property
@@ -139,9 +152,8 @@ def call_with_deadline(
     finish in the background — so in-process tasks run under a
     deadline must not share mutable state (the service passes
     ``arena=None`` on supervised in-process batches for exactly this
-    reason).  Pool-backed tasks should instead self-enforce via
-    ``WorkerPool``'s ``timeout=``, whose watchdog *can* kill the
-    worker process.
+    reason).  On a pool, :meth:`Supervisor.map` enforces the deadline
+    instead, by killing the worker process.
     """
     box: dict[str, object] = {}
     done = threading.Event()
@@ -181,10 +193,10 @@ class Supervisor:
         Injected backoff sleeper (tests pass a recorder to pin the
         deterministic delay sequence without waiting it out).
     pool_factory:
-        How pooled campaigns build their worker pool (default
-        :class:`~repro.resilience.pool.WorkerPool`); the chaos harness
-        swaps in a :class:`~repro.resilience.chaos.ChaosPool` wrapper
-        here.
+        How pooled campaigns and the scenario service build their
+        worker pool (default :class:`~repro.resilience.pool.WorkerPool`);
+        the chaos harness swaps in a
+        :class:`~repro.resilience.chaos.ChaosPool` wrapper here.
     """
 
     def __init__(
@@ -211,22 +223,18 @@ class Supervisor:
         task: Callable[[], object],
         *,
         label: str = "task",
-        repair: Callable[[], None] | None = None,
         enforce_deadline: bool = True,
     ) -> SupervisedOutcome:
         """Run ``task`` to a :class:`SupervisedOutcome`, never raising.
 
-        ``repair`` (e.g. ``pool.restart``) runs before every retry.
-        ``enforce_deadline=False`` skips the in-process watchdog for
-        tasks that self-enforce their deadline (the pool path).
+        ``enforce_deadline=False`` skips the watchdog, for a last-resort
+        rung that should finish however long it takes.
         """
         policy = self.policy
         timeouts = 0
         fault: str | None = None
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
-                if repair is not None:
-                    repair()
                 self.backoff(attempt - 2)
             try:
                 if enforce_deadline and policy.deadline is not None:
@@ -259,3 +267,132 @@ class Supervisor:
             timeouts=timeouts,
             fault=fault,
         )
+
+    def map(
+        self,
+        task: Callable[[object], object],
+        items: Sequence,
+        *,
+        pool=None,
+        on_start: Callable[[int, int], None] | None = None,
+        on_settle: Callable[[int, SupervisedOutcome], None] | None = None,
+    ) -> list[SupervisedOutcome]:
+        """Run ``task(item)`` for every item to one outcome each, in order.
+
+        ``on_start(k, attempt)`` runs before an attempt at ``items[k]``
+        executes and ``on_settle(k, outcome)`` as soon as its outcome is
+        final.  With no ``pool`` the items settle one at a time through
+        :meth:`run` (``on_start`` once, before the first attempt).
+
+        With a ``pool`` (the :class:`~repro.resilience.pool.WorkerPool`
+        surface; ``task`` and the items must pickle), ``pool.workers``
+        items stay in flight and the next is submitted as soon as any
+        finishes, so a slow item never idles the other workers.  Each
+        item's deadline runs from its own submission; a miss SIGKILLs
+        the workers.  A broken pool (killed worker, missed deadline, or
+        dead before the call) drains its in-flight futures, then
+        restarts once.  A failed item re-queues after the policy's
+        backoff until its attempts run out, then quarantines — the
+        ladder :meth:`run` climbs in process.
+        """
+        start = on_start or (lambda k, attempt: None)
+        finish = on_settle or (lambda k, outcome: None)
+        if pool is None:
+            outcomes = []
+            for k, item in enumerate(items):
+                start(k, 1)
+                outcome = self.run(functools.partial(task, item), label=f"item-{k}")
+                finish(k, outcome)
+                outcomes.append(outcome)
+            return outcomes
+
+        policy = self.policy
+        attempts = [0] * len(items)
+        timeouts = [0] * len(items)
+        pool_failures = [0] * len(items)
+        outcomes = [None] * len(items)
+        queue = deque(range(len(items)))
+        #: future -> (item index, monotonic submission time), in submit order.
+        inflight: dict = {}
+        backoff = 0.0
+        broken = False
+
+        def settle(k: int, **fields) -> None:
+            outcomes[k] = SupervisedOutcome(
+                attempts=attempts[k],
+                retries=attempts[k] - 1,
+                timeouts=timeouts[k],
+                pool_failures=pool_failures[k],
+                **fields,
+            )
+            finish(k, outcomes[k])
+
+        def failed(k: int, exc: Exception) -> None:
+            nonlocal backoff
+            if isinstance(exc, BrokenProcessPool):
+                pool_failures[k] += 1
+            if (
+                self.classify(exc) == PERMANENT
+                or attempts[k] >= policy.max_attempts
+            ):
+                settle(k, status="quarantined", fault=format_fault(exc))
+            else:
+                backoff = max(backoff, policy.backoff_delay(attempts[k] - 1))
+                queue.append(k)
+
+        while queue or inflight:
+            if not inflight and (broken or pool.broken):
+                pool.restart()
+                broken = False
+            while queue and len(inflight) < pool.workers and not (
+                broken or pool.broken
+            ):
+                if backoff > 0:
+                    self.sleep(backoff)
+                    backoff = 0.0
+                k = queue.popleft()
+                attempts[k] += 1
+                start(k, attempts[k])
+                try:
+                    future = pool.submit(task, items[k])
+                except BrokenProcessPool as exc:
+                    broken = True
+                    failed(k, exc)
+                else:
+                    inflight[future] = (k, time.monotonic())
+            if not inflight:
+                continue
+            timeout = None
+            if policy.deadline is not None:
+                oldest = min(submitted for _, submitted in inflight.values())
+                timeout = max(0.0, oldest + policy.deadline - time.monotonic())
+            done, _ = wait(inflight, timeout=timeout, return_when=FIRST_COMPLETED)
+            now = time.monotonic()
+            for future, (k, submitted) in list(inflight.items()):
+                if future in done:
+                    del inflight[future]
+                    try:
+                        value = future.result()
+                    except Exception as exc:
+                        broken = broken or isinstance(exc, BrokenProcessPool)
+                        failed(k, exc)
+                    else:
+                        settle(k, status="completed", value=value)
+                elif (
+                    policy.deadline is not None
+                    and now - submitted >= policy.deadline
+                ):
+                    # The watchdog: a hung worker is killed, not waited
+                    # on; the items in flight beside it fail
+                    # BrokenProcessPool and retry on the restarted pool.
+                    del inflight[future]
+                    pool.kill_workers()
+                    broken = True
+                    timeouts[k] += 1
+                    failed(
+                        k,
+                        TaskTimeoutError(
+                            f"item-{k}: exceeded {policy.deadline:g}s deadline"
+                        ),
+                    )
+        return outcomes

@@ -16,11 +16,16 @@ quarantine, optional write-ahead journal):
 - ``"model"`` — the oracle: every cell runs through the serial
   per-seed ensemble oracle, in grid order, one process;
 - ``"fast"`` — every cell runs through the lockstep ensemble engine
-  and, with ``workers > 1``, the *cells* spread over the library's
-  worker pool (:class:`~repro.resilience.pool.WorkerPool`), refilled
-  as each cell finishes (each cell stays single-process lockstep
-  inside its worker).  Bit-identical to ``"model"`` cell by cell,
-  because the underlying ensemble engines are.
+  and, with ``workers > 1``, the *cells* spread over a worker pool
+  built by ``Supervisor.pool_factory``, refilled as each cell finishes
+  (each cell stays single-process lockstep inside its worker).
+  Bit-identical to ``"model"`` cell by cell, because the underlying
+  ensemble engines are.
+
+Both engines are one :meth:`~repro.resilience.Supervisor.map` call
+over the pending cells — in process, or on the pool — so cells retry,
+time out and restart on the same ladder the scenario service's
+batches climb.
 
 A cell where every seed diverges is not fatal: its summary is ``None``
 and the degradation report (:mod:`repro.analysis.reporting`)
@@ -30,10 +35,7 @@ classifies it ``"diverged"``.
 from __future__ import annotations
 
 import functools
-import time
-from collections import Counter, deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,15 +45,10 @@ from repro.analysis.montecarlo import (
     summarize_rows,
 )
 from repro.engines import register_engine, resolve_engine
-from repro.errors import ConfigurationError, TaskTimeoutError
+from repro.errors import ConfigurationError
 from repro.experiments.table1 import DEFAULT_MISALIGNMENT
 from repro.resilience.journal import CampaignJournal
-from repro.resilience.supervisor import (
-    PERMANENT,
-    SupervisedOutcome,
-    Supervisor,
-    format_fault,
-)
+from repro.resilience.supervisor import SupervisedOutcome, Supervisor
 from repro.scenarios.cache import CampaignCache, canonical_digest
 from repro.scenarios.faults import (
     CanBusErrorStorm,
@@ -331,10 +328,11 @@ class _CellRun:
     Built by :func:`_run_cells_supervised`, which settles up front
     every cell that needs no execution — sticky journal quarantines,
     journal resumes, cache hits — and leaves the rest in ``pending``
-    for the campaign engine.  The engine reports each attempt through
-    :meth:`start` and each final :class:`SupervisedOutcome` through
-    :meth:`settle`, which stores a completed summary in the cache
-    before its ``completed`` journal record lands.
+    for the campaign engine.  The engine runs :attr:`pending_cells`
+    through :meth:`Supervisor.map`, with :meth:`start` and
+    :meth:`settle` as its hooks: both take a position in ``pending``,
+    and :meth:`settle` stores a completed summary in the cache before
+    its ``completed`` journal record lands.
     """
 
     def __init__(
@@ -359,6 +357,7 @@ class _CellRun:
         self.faults: list[str | None] = [None] * len(cells)
         #: :class:`ResilienceReport` field -> count.
         self.counts: Counter = Counter()
+        #: Indices of the cells left to execute, in grid order.
         self.pending: list[int] = []
         replay = journal.replay() if journal is not None else {}
         for index, cell in enumerate(cells):
@@ -383,13 +382,21 @@ class _CellRun:
                     continue
             self.pending.append(index)
 
-    def start(self, index: int, attempt: int) -> None:
-        """Journal an attempt at cell ``index`` before it executes."""
-        if self.journal is not None:
-            self.journal.record(self.digests[index], "started", attempt=attempt)
+    @property
+    def pending_cells(self) -> list[CampaignCell]:
+        """The cells left to execute, in grid order."""
+        return [self.cells[index] for index in self.pending]
 
-    def settle(self, index: int, outcome: SupervisedOutcome) -> None:
-        """Book cell ``index``'s final outcome: counts, cache, journal."""
+    def start(self, position: int, attempt: int) -> None:
+        """Journal an attempt at pending cell ``position`` before it runs."""
+        if self.journal is not None:
+            self.journal.record(
+                self.digests[self.pending[position]], "started", attempt=attempt
+            )
+
+    def settle(self, position: int, outcome: SupervisedOutcome) -> None:
+        """Book pending cell ``position``'s outcome: counts, cache, journal."""
+        index = self.pending[position]
         self.counts["retries"] += outcome.retries
         self.counts["timeouts"] += outcome.timeouts
         if not outcome.completed:
@@ -419,127 +426,6 @@ class _CellRun:
                 ),
             )
 
-    def run_in_process(self, engine: str, chunk_size: int | None) -> None:
-        """Pending cells one at a time under :meth:`Supervisor.run`."""
-        for index in self.pending:
-            self.start(index, attempt=1)
-            task = functools.partial(
-                self.cell_runner, self.cells[index], engine, chunk_size
-            )
-            self.settle(
-                index, self.supervisor.run(task, label=f"cell-{index}")
-            )
-
-
-def _run_pooled(run: _CellRun, workers: int, chunk_size: int | None) -> None:
-    """Pending fast cells over a worker pool, refilled as cells finish.
-
-    Keeps ``min(workers, pending)`` cells in flight and submits the
-    next one as soon as any finishes, so a slow cell never idles the
-    other workers.  Each cell's deadline runs from its own submission;
-    a miss SIGKILLs the workers, and a broken pool (killed worker or
-    missed deadline) drains its in-flight futures, then restarts once.
-    A failed cell re-queues after the policy's backoff until its
-    attempts run out, then quarantines — the ladder
-    :meth:`Supervisor.run` climbs in process.  Tasks go through
-    ``_run_cell_fast``, looked up when each cell is submitted.
-    """
-    supervisor = run.supervisor
-    policy = supervisor.policy
-    queue = deque(run.pending)
-    attempts = dict.fromkeys(queue, 0)
-    timeouts = dict.fromkeys(queue, 0)
-    #: future -> (cell index, monotonic submission time), in submit order.
-    inflight: dict = {}
-    backoff = 0.0
-    broken = False
-
-    def outcome(index: int, **fields) -> SupervisedOutcome:
-        return SupervisedOutcome(
-            attempts=attempts[index],
-            retries=attempts[index] - 1,
-            timeouts=timeouts[index],
-            **fields,
-        )
-
-    def failed(index: int, exc: Exception) -> None:
-        nonlocal backoff
-        if (
-            supervisor.classify(exc) == PERMANENT
-            or attempts[index] >= policy.max_attempts
-        ):
-            run.settle(
-                index, outcome(index, status="quarantined", fault=format_fault(exc))
-            )
-        else:
-            backoff = max(backoff, policy.backoff_delay(attempts[index] - 1))
-            queue.append(index)
-
-    pool = supervisor.pool_factory(min(workers, len(queue)))
-    try:
-        while queue or inflight:
-            if not inflight and (broken or pool.broken):
-                pool.restart()
-                broken = False
-            while queue and len(inflight) < workers and not (
-                broken or pool.broken
-            ):
-                if backoff > 0:
-                    supervisor.sleep(backoff)
-                    backoff = 0.0
-                index = queue.popleft()
-                attempts[index] += 1
-                run.start(index, attempts[index])
-                try:
-                    future = pool.submit(
-                        _run_cell_fast, run.cells[index], chunk_size
-                    )
-                except BrokenProcessPool as exc:
-                    broken = True
-                    failed(index, exc)
-                else:
-                    inflight[future] = (index, time.monotonic())
-            if not inflight:
-                continue
-            timeout = None
-            if policy.deadline is not None:
-                oldest = min(submitted for _, submitted in inflight.values())
-                timeout = max(0.0, oldest + policy.deadline - time.monotonic())
-            done, _ = wait(inflight, timeout=timeout, return_when=FIRST_COMPLETED)
-            now = time.monotonic()
-            for future, (index, submitted) in list(inflight.items()):
-                if future in done:
-                    del inflight[future]
-                    try:
-                        summary = future.result()
-                    except Exception as exc:
-                        broken = broken or isinstance(exc, BrokenProcessPool)
-                        failed(index, exc)
-                    else:
-                        run.settle(
-                            index, outcome(index, status="completed", value=summary)
-                        )
-                elif (
-                    policy.deadline is not None
-                    and now - submitted >= policy.deadline
-                ):
-                    # The watchdog: a hung worker is killed, not waited
-                    # on; the cells in flight beside it fail
-                    # BrokenProcessPool and retry on the restarted pool.
-                    del inflight[future]
-                    pool.kill_workers()
-                    broken = True
-                    timeouts[index] += 1
-                    failed(
-                        index,
-                        TaskTimeoutError(
-                            f"campaign cell exceeded {policy.deadline:g}s "
-                            "deadline"
-                        ),
-                    )
-    finally:
-        pool.shutdown()
-
 
 @register_engine(
     "campaign",
@@ -556,7 +442,12 @@ def run_campaign_cells_serial(run: _CellRun, workers: int = 1) -> None:
     each cell through the serial per-seed ensemble engine, in grid
     order, in this process; pooling belongs to the fast engine.
     """
-    run.run_in_process("model", None)
+    run.supervisor.map(
+        functools.partial(run.cell_runner, engine="model"),
+        run.pending_cells,
+        on_start=run.start,
+        on_settle=run.settle,
+    )
 
 
 run_campaign_cells_serial.single_process = True
@@ -577,14 +468,28 @@ def run_campaign_cells_sharded(
     Each cell runs the lockstep ensemble engine (single-process, all
     seeds stacked, streaming ``chunk_size`` seed blocks); ``workers >
     1`` spreads whole cells over a refilled worker pool that lives for
-    this call.  Summaries land by cell index regardless of completion
-    order, so the result is identical for any ``workers`` — and for
-    any ``chunk_size``, by the chunked core's bit-identity contract.
+    this call, built by ``supervisor.pool_factory``.  Pool tasks go
+    through ``_run_cell_fast``, looked up when the engine runs.
+    Summaries land by cell index regardless of completion order, so
+    the result is identical for any ``workers`` — and for any
+    ``chunk_size``, by the chunked core's bit-identity contract.
     """
-    if workers > 1 and len(run.pending) > 1:
-        _run_pooled(run, workers, chunk_size)
+    cells = run.pending_cells
+    if workers > 1 and len(cells) > 1:
+        pool = run.supervisor.pool_factory(min(workers, len(cells)))
+        task = functools.partial(_run_cell_fast, chunk_size=chunk_size)
     else:
-        run.run_in_process("fast", chunk_size)
+        pool = None
+        task = functools.partial(
+            run.cell_runner, engine="fast", chunk_size=chunk_size
+        )
+    try:
+        run.supervisor.map(
+            task, cells, pool=pool, on_start=run.start, on_settle=run.settle
+        )
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 run_campaign_cells_sharded.accepts_chunk_size = True
@@ -617,12 +522,12 @@ def _run_cells_supervised(
       a terminal ``completed``/``quarantined`` record after, fsync'd,
       so a killed process resumes by rehydrating ``completed`` cells
       from the cache and re-running only in-flight ones;
-    - in-process cells run under :meth:`Supervisor.run` (watchdog
-      deadline, backoff, quarantine); ``cell_runner`` swaps the
-      per-cell callable ``(cell, ensemble engine, chunk_size)`` — the
-      in-process chaos hook;
-    - pooled cells (fast engine, ``workers > 1``) run on a pool built
-      by ``supervisor.pool_factory`` — the pool-level chaos hook.
+    - cells run through :meth:`Supervisor.map`: in process one at a
+      time (watchdog deadline, backoff, quarantine), where
+      ``cell_runner`` swaps the per-cell callable ``(cell, engine=,
+      chunk_size=)`` — the in-process chaos hook; or, on the fast
+      engine with ``workers > 1``, on a pool built by
+      ``supervisor.pool_factory`` — the pool-level chaos hook.
 
     Retries replay seed-deterministic work, so every recovered summary
     is bit-identical to the fault-free serial oracle's.

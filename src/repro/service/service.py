@@ -14,14 +14,15 @@ through the serial oracle.  The request lifecycle:
    ``max_batch_size`` or after ``max_wait``.  A full admission queue
    rejects with :class:`~repro.errors.ServiceOverloadError`.
 3. **execute** — the batch's merged job list runs through the chunked
-   lockstep core: in-process (``workers=0``) on a dedicated dispatch
-   thread recycling one :class:`~repro.experiments.arena.StateArena`,
-   or on a persistent spawn :class:`~repro.service.executor.WorkerPool`
-   (``workers >= 1``), always under a
-   :class:`~repro.resilience.Supervisor`.  A dead pool is restarted
-   and the batch retried; a batch whose pool rung runs out of attempts
-   falls back to serial per-seed execution, and one whose serial rung
-   fails too resolves quarantined — recorded in the metrics, never an
+   lockstep core (:func:`~repro.service.executor.run_jobs_inline`):
+   in-process (``workers=0``) on a dedicated dispatch thread recycling
+   one :class:`~repro.experiments.arena.StateArena`, or on a persistent
+   spawn pool built by the supervisor's ``pool_factory`` (``workers >=
+   1``), always through :meth:`~repro.resilience.Supervisor.map` — the
+   ladder campaign cells climb too.  A dead pool is restarted and the
+   batch retried; a batch whose pool rung runs out of attempts falls
+   back to the serial ensemble oracle, and one whose serial rung fails
+   too resolves quarantined — recorded in the metrics, never an
    outage.
 4. **regroup** — the batch's per-seed outcome rows split back into one
    summary per request (the same
@@ -37,9 +38,9 @@ coalescing service instance, and the two must agree bit for bit.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
 from repro.analysis.montecarlo import MonteCarloSummary, summarize_rows
@@ -49,11 +50,7 @@ from repro.experiments.arena import StateArena
 from repro.resilience.supervisor import Supervisor
 from repro.scenarios.cache import CampaignCache
 from repro.service.batcher import DynamicBatcher, PendingRequest
-from repro.service.executor import (
-    WorkerPool,
-    run_jobs_inline,
-    run_jobs_serial,
-)
+from repro.service.executor import run_jobs_inline
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import (
     ScenarioRequest,
@@ -68,8 +65,9 @@ class ScenarioService:
 
     ``workers=0`` (the default) executes batches in-process on one
     dispatch thread; ``workers >= 1`` runs them on a persistent
-    spawn-worker pool of that size, with the dispatch thread count
-    matching so independent groups can occupy independent workers.
+    spawn-worker pool of that size, built by the supervisor's
+    ``pool_factory``, with the dispatch thread count matching so
+    independent groups can occupy independent workers.
     ``cache`` is consulted before scheduling and updated after every
     execution; share one instance (or one ``cache_dir``) across
     services to reuse results across sessions and processes.
@@ -106,7 +104,9 @@ class ScenarioService:
         self._supervisor = supervisor if supervisor is not None else Supervisor()
         self._chunk_size = chunk_size
         self._arena = StateArena()
-        self._pool = WorkerPool(workers) if workers >= 1 else None
+        self._pool = (
+            self._supervisor.pool_factory(workers) if workers >= 1 else None
+        )
         self._dispatch = ThreadPoolExecutor(
             max_workers=max(1, workers),
             thread_name_prefix="scenario-service",
@@ -186,68 +186,42 @@ class ScenarioService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _repair_pool(self) -> None:
-        """Between-attempts repair hook: rebuild a dead worker pool."""
-        if self._pool is not None and self._pool.broken:
-            self._pool.restart()
-
     def _run_batch_sync(self, jobs: list) -> tuple[list | None, str, int, str | None]:
         """The resilience ladder for one merged batch, on a dispatch thread.
 
         Returns ``(rows, source, attempts, fault)``.  The primary rung
-        (pool or in-process lockstep) is retried under the supervisor's
-        policy; if it quarantines, the serial per-seed rung gets its
-        own supervised attempts (deadline off — the last resort
-        optimizes for completing, and retries stay bit-identical
-        replays either way); if that quarantines too, ``rows`` is
-        ``None`` and the batch is reported quarantined instead of
-        raising.
+        (pool or in-process lockstep) is one :meth:`Supervisor.map`
+        call over the batch; if it quarantines, the serial ensemble
+        oracle gets its own supervised attempts (deadline off — the
+        last resort optimizes for completing, and retries stay
+        bit-identical replays either way); if that quarantines too,
+        ``rows`` is ``None`` and the batch is reported quarantined
+        instead of raising.
         """
         supervisor = self._supervisor
-        deadline = supervisor.policy.deadline
+        task = functools.partial(run_jobs_inline, chunk_size=self._chunk_size)
         if self._pool is not None:
-
-            def primary() -> list:
-                try:
-                    # The pool self-enforces the deadline: its watchdog
-                    # can actually kill a hung worker.
-                    return self._pool.run(
-                        jobs, self._chunk_size, timeout=deadline
-                    )
-                except BrokenProcessPool:
-                    self.metrics.pool_failures += 1
-                    raise
-
-            outcome = supervisor.run(
-                primary,
-                label="pool-batch",
-                repair=self._repair_pool,
-                enforce_deadline=False,
-            )
-            primary_source = "pool"
+            source = "pool"
         else:
-
-            def primary() -> list:
-                # In process there is one dispatch thread, so the arena
-                # serves one batch at a time.  Under a deadline the
-                # watchdog thread survives a timeout; a fresh arena per
-                # attempt keeps a zombie attempt from racing the
-                # retry's buffers.
-                arena = self._arena if deadline is None else None
-                return run_jobs_inline(
-                    jobs, chunk_size=self._chunk_size, arena=arena
-                )
-
-            outcome = supervisor.run(primary, label="batch")
-            primary_source = "coalesced"
+            source = "coalesced"
+            # In process there is one dispatch thread, so the arena
+            # serves one batch at a time.  Under a deadline the
+            # watchdog thread survives a timeout; a fresh arena per
+            # attempt keeps a zombie attempt from racing the retry's
+            # buffers.
+            if supervisor.policy.deadline is None:
+                task = functools.partial(task, arena=self._arena)
+        [outcome] = supervisor.map(task, [jobs], pool=self._pool)
         self.metrics.retries += outcome.retries
         self.metrics.timeouts += outcome.timeouts
+        self.metrics.pool_failures += outcome.pool_failures
         if outcome.completed:
-            return outcome.value, primary_source, outcome.attempts, None
+            return outcome.value, source, outcome.attempts, None
         attempts = outcome.attempts
         self.metrics.serial_fallback_batches += 1
+        oracle = resolve_engine("ensemble", "model")
         fallback = supervisor.run(
-            lambda: run_jobs_serial(jobs),
+            lambda: oracle(jobs, 1),
             label="serial-batch",
             enforce_deadline=False,
         )

@@ -28,6 +28,7 @@ from repro.scenarios.campaign import (
 )
 from repro.scenarios.faults import SensorDropout
 from repro.scenarios.spec import ScenarioSpec
+from repro.service import execute_requests
 from repro.service.requests import ScenarioRequest, ScenarioResult
 
 BENCH = ScenarioSpec(
@@ -38,6 +39,14 @@ BENCH = ScenarioSpec(
     moving=False,
     measurement_sigma=0.006,
     motion_gate_rate=None,
+)
+#: A drive whose ACC drops out at t=0 on both seeds: every run diverges.
+ALL_DIVERGED = ScenarioRequest(
+    scenario=ScenarioSpec(
+        name="drive", profile="city_drive", duration=60.0, route_seed=50
+    ),
+    seeds=(800, 801),
+    acc_dropout=((800, 0.0), (801, 0.0)),
 )
 
 
@@ -70,20 +79,23 @@ class TestScenarioRouting:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_every_seed_diverged_raises_before_caching(self):
-        drive = ScenarioSpec(
-            name="drive", profile="city_drive", duration=60.0, route_seed=50
-        )
-        request = ScenarioRequest(
-            scenario=drive,
-            seeds=(800, 801),
-            acc_dropout=((800, 0.0), (801, 0.0)),
-        )
         cache = CampaignCache()
         with pytest.raises(
             ConfigurationError, match=r"every run diverged \(seeds \(800, 801\)\)"
         ):
-            execute(request, cache=cache)
+            execute(ALL_DIVERGED, cache=cache)
         assert len(cache) == 0
+
+    def test_cached_all_diverged_verdict_raises(self):
+        # The service caches None for a request whose every seed
+        # diverged; a warm execute() must raise like a cold one.
+        cache = CampaignCache()
+        [served] = execute_requests([ALL_DIVERGED], cache=cache)
+        assert served.summary is None and len(cache) == 1
+        with pytest.raises(
+            ConfigurationError, match=r"every run diverged \(seeds \(800, 801\)\)"
+        ):
+            execute(ALL_DIVERGED, cache=cache)
 
 
 class TestKnobUniformity:

@@ -147,12 +147,6 @@ class TestAnees:
         ]
         assert summarize_outcomes(outcomes).anees == 3.0
 
-    def test_legacy_tuples_have_no_anees(self):
-        outcomes = [(np.array([0.1, 0.2]), 2, 0.0)]
-        summary = summarize_outcomes(outcomes)
-        assert summary.anees is None
-        assert summary.fallback_states == ("full",)
-
 
 def _static_jobs(runs: int) -> list[EnsembleJob]:
     """Compressed static-protocol jobs, mirroring run_monte_carlo_static."""

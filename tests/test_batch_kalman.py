@@ -381,12 +381,14 @@ class TestMonteCarloFastEngine:
         # Satellite regression: the 3-sigma coverage denominator derives
         # from the error vectors, not a hard-coded 3-axis assumption.
         outcomes_2axis = [
-            (np.array([0.1, 0.2]), 2, 0.01),
-            (np.array([0.3, 0.1]), 1, 0.02),
+            (np.array([0.1, 0.2]), 2, 0.01, 0, np.array([0.3, 0.3])),
+            (np.array([0.3, 0.1]), 1, 0.02, 0, np.array([0.2, 0.3])),
         ]
         summary = summarize_outcomes(outcomes_2axis)
         assert summary.coverage_3sigma == 3 / 4
-        outcomes_3axis = [(np.array([0.1, 0.2, 0.3]), 2, 0.01)]
+        outcomes_3axis = [
+            (np.array([0.1, 0.2, 0.3]), 2, 0.01, 0, np.array([0.3, 0.3, 0.2]))
+        ]
         assert summarize_outcomes(outcomes_3axis).coverage_3sigma == 2 / 3
         with pytest.raises(ConfigurationError):
             summarize_outcomes([])

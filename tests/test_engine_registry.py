@@ -224,6 +224,19 @@ class TestRegistryMechanics:
         ]
         assert offenders == []
 
+    def test_one_supervised_ladder_drives_the_pool(self):
+        # Pool restarts, the deadline watchdog and the refill wait live
+        # in Supervisor.map; campaigns and the service only call it.
+        needles = (".restart(", ".kill_workers(", "FIRST_COMPLETED")
+        offenders = [
+            f"{path.relative_to(SRC)}: {needle}"
+            for path in sorted(SRC.rglob("*.py"))
+            if path.parent.name != "resilience"
+            for needle in needles
+            if needle in path.read_text()
+        ]
+        assert offenders == []
+
     def test_divergence_is_reported_in_one_place(self):
         # Every summary comes from summarize_rows; only execute() turns
         # "every seed diverged" into an error, and no code recovers

@@ -42,6 +42,7 @@ from repro.resilience import (
     ChaosSchedule,
     RetryPolicy,
     Supervisor,
+    WorkerPool,
     classify_error,
     corrupt_cache_file,
     sample_chaos_schedule,
@@ -220,17 +221,6 @@ class TestSupervisorRungs:
         with pytest.raises(TaskTimeoutError, match="exceeded 0.02s deadline"):
             call_with_deadline(lambda: time.sleep(0.5), 0.02, "hung-cell")
         assert call_with_deadline(lambda: 7, 1.0, "quick") == 7
-
-    def test_repair_runs_before_every_retry(self):
-        repairs = []
-        supervisor = Supervisor(
-            RetryPolicy(max_attempts=3, backoff_base=0.0)
-        )
-        outcome = supervisor.run(
-            lambda: (_ for _ in ()).throw(TransientError("down")),
-            repair=lambda: repairs.append(1),
-        )
-        assert outcome.status == "quarantined" and len(repairs) == 2
 
     def test_supervisor_never_raises_on_unknown_exceptions(self):
         outcome = Supervisor(RetryPolicy(max_attempts=2, backoff_base=0.0)).run(
@@ -477,22 +467,18 @@ class TestSupervisedService:
         request = ScenarioRequest(scenario=SCENARIO, seeds=(900, 901))
 
         async def scenario():
+            # The first batch submitted to the pool raises a transient
+            # fault inside its worker; the retry runs clean.
+            schedule = ChaosSchedule(events=("transient",))
             service = ScenarioService(
                 workers=1,
                 supervisor=Supervisor(
-                    RetryPolicy(max_attempts=3, backoff_base=0.0)
+                    RetryPolicy(max_attempts=3, backoff_base=0.0),
+                    pool_factory=lambda workers: ChaosPool(
+                        WorkerPool(workers), schedule
+                    ),
                 ),
             )
-            real_run = service._pool.run
-            state = {"calls": 0}
-
-            def flaky_run(jobs, chunk_size=None, timeout=None):
-                state["calls"] += 1
-                if state["calls"] == 1:
-                    raise TransientError("injected pool hiccup")
-                return real_run(jobs, chunk_size, timeout=timeout)
-
-            service._pool.run = flaky_run
             with service:
                 return service, await service.submit(request)
 
@@ -510,16 +496,17 @@ class TestSupervisedService:
     def test_exhausted_ladder_reports_quarantined_result(self, monkeypatch):
         import asyncio
 
+        from repro.analysis import montecarlo
         from repro.service import ScenarioRequest, ScenarioService
         from repro.service import service as service_module
 
         request = ScenarioRequest(scenario=SCENARIO, seeds=(900,))
 
-        def always_broken(jobs, chunk_size=None, arena=None):
+        def always_broken(*args, **kwargs):
             raise ChaosPermanentError("both rungs poisoned")
 
         monkeypatch.setattr(service_module, "run_jobs_inline", always_broken)
-        monkeypatch.setattr(service_module, "run_jobs_serial", always_broken)
+        monkeypatch.setattr(montecarlo, "_run_job", always_broken)
 
         async def scenario():
             service = ScenarioService(
@@ -576,8 +563,6 @@ class TestAcceptance:
         schedule = ChaosSchedule(
             events=("kill", None, "delay"), delay=60.0, kill_after=0.2
         )
-        from repro.service.executor import WorkerPool
-
         supervisor = Supervisor(
             RetryPolicy(max_attempts=3, deadline=15.0, backoff_base=0.01),
             pool_factory=lambda workers: ChaosPool(

@@ -29,6 +29,7 @@ import pytest
 
 from repro.engines import resolve_engine
 from repro.errors import ConfigurationError, ServiceOverloadError
+from repro.resilience import Supervisor
 from repro.scenarios.cache import CampaignCache
 from repro.scenarios.campaign import FaultSpec
 from repro.scenarios.faults import SensorDropout
@@ -83,6 +84,27 @@ def _mixed_requests(base: int = 300) -> list[ScenarioRequest]:
 
 def _oracle(requests):
     return resolve_engine("service", "model")(list(requests), 1)
+
+
+class _DeadPool:
+    """A worker pool that never comes back: every submit kills it again."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.broken = False
+
+    def submit(self, fn, *args):
+        self.broken = True
+        raise BrokenProcessPool("worker killed")
+
+    def kill_workers(self) -> None:
+        self.broken = True
+
+    def restart(self) -> None:
+        self.broken = False
+
+    def shutdown(self) -> None:
+        pass
 
 
 class TestRequestContract:
@@ -291,13 +313,11 @@ class TestBackpressure:
 class TestGracefulDegradation:
     def test_pool_death_degrades_to_serial_and_is_recorded(self):
         async def scenario():
-            service = ScenarioService(workers=1, max_wait=0.001)
-
-            def dead_run(jobs, chunk_size=None, timeout=None):
-                service._pool._broken = True
-                raise BrokenProcessPool("worker killed")
-
-            service._pool.run = dead_run
+            service = ScenarioService(
+                workers=1,
+                max_wait=0.001,
+                supervisor=Supervisor(pool_factory=_DeadPool),
+            )
             with service:
                 first = await service.submit(
                     ScenarioRequest(scenario=BENCH, seeds=(300, 301))
@@ -365,9 +385,9 @@ class TestGracefulDegradation:
         assert [r.summary for r in results] == oracle
 
     def test_results_survive_pool_death_bit_identically(self):
-        # A pool already marked dead fails the first attempt; the
-        # restarted pool serves the retry, and the registry's
-        # bit-identity contract extends through the outage.
+        # A pool already marked dead is restarted before the batch is
+        # first submitted, so the first attempt succeeds, and the
+        # registry's bit-identity contract extends through the outage.
         request = ScenarioRequest(scenario=BENCH, seeds=(310, 311, 312))
 
         async def scenario():
@@ -378,7 +398,7 @@ class TestGracefulDegradation:
 
         result = asyncio.run(scenario())
         assert result.source == "pool"
-        assert result.attempts == 2
+        assert result.attempts == 1
         assert result.summary == _oracle([request])[0]
 
 
