@@ -5,7 +5,9 @@ persists the measurement at the repo root so successive PRs can track
 the perf trajectory.  This module is the single place that writes
 those reports, pinning the cross-runner schema: every report carries
 ``speedup`` (oracle seconds / fast seconds) and ``identical`` (the
-bit-identity verdict, which must be ``true``).
+bit-identity verdict, which must be ``true``), and :func:`write_report`
+stamps each one with the machine it ran on (``env``: usable cores,
+Python and NumPy versions), so a figure is never read without its box.
 ``benchmarks/test_emit_schema.py`` guards the contract.
 
 Scaling runners (``run_scaling.py``) additionally carry a ``series``
@@ -17,8 +19,12 @@ growth across the R sweep is part of the persisted trajectory.
 
 import json
 import numbers
+import os
+import platform
 import threading
 from pathlib import Path
+
+import numpy as np
 
 #: Repo root, where every ``BENCH_*.json`` lands.
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -119,7 +125,7 @@ def validate_scaling_series(series) -> None:
 
 
 def write_report(path: "Path | str", result: dict) -> Path:
-    """Validate a benchmark result against the schema and write it."""
+    """Validate a benchmark result, stamp its ``env`` and write it."""
     path = Path(path)
     missing = [key for key in REQUIRED_KEYS if key not in result]
     if missing:
@@ -138,5 +144,10 @@ def write_report(path: "Path | str", result: dict) -> Path:
         )
     if "series" in result:
         validate_scaling_series(result["series"])
-    path.write_text(json.dumps(result, indent=2) + "\n")
+    env = {
+        "cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    path.write_text(json.dumps({**result, "env": env}, indent=2) + "\n")
     return path

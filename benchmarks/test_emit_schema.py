@@ -1,12 +1,16 @@
 """Schema guard for the shared ``BENCH_*.json`` emitter.
 
 Runs in the tier-1 suite (it is cheap and pure): every benchmark
-report must carry ``speedup`` and ``identical``, and the reports
-tracked at the repo root must already satisfy the schema.
+report must carry ``speedup`` and ``identical``, every written report
+is stamped with its machine, and the reports tracked at the repo root
+must already satisfy the schema.
 """
 
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
 
 from _emit import REPO_ROOT, REQUIRED_KEYS, write_report
@@ -16,7 +20,13 @@ def test_write_report_round_trip(tmp_path):
     path = tmp_path / "BENCH_example.json"
     result = {"speedup": 51.5, "identical": True, "frames": 10_000}
     assert write_report(path, result) == path
-    assert json.loads(path.read_text()) == result
+    written = json.loads(path.read_text())
+    assert written.pop("env") == {
+        "cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    assert written == result
     assert path.read_text().endswith("\n")
 
 

@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError
 
 #: Seed-block size the lockstep engines stream by when the caller
 #: doesn't pick one.  Large enough that the per-chunk Python glue
-#: (trajectory bookkeeping, calibration setup) amortizes to noise,
+#: (stream, calibration and estimator setup) amortizes to noise,
 #: small enough that the working set stays a few GB at the default
 #: protocol lengths regardless of total R.
 DEFAULT_CHUNK_SIZE = 512
@@ -133,7 +133,9 @@ def iter_job_outcomes(
 
     The per-job view of the chunked lockstep core: each seed-block
     chunk runs as one stacked ensemble drawing its ``(R_chunk, …)``
-    scratch from ``arena``, and every job's per-run outcome row — the
+    scratch from ``arena`` and its truth from the per-process
+    :func:`~repro.vehicle.trajectory.shared_sample` memo (chunks do not
+    resample it), and every job's per-run outcome row — the
     exact ``(error_deg, covered, exceedance, hold_ticks,
     three_sigma_deg)`` tuple the serial oracle's ``_run_job`` produces,
     bit for bit — is yielded before the next chunk overwrites the

@@ -8,7 +8,11 @@ per-seed work (noise draws, vibration, error chains, calibration,
 reconstruction, filtering) batches into stacked arrays.  This module
 runs R rigs as:
 
-1. sample the calibration and test trajectories **once**;
+1. fetch the calibration and test truth through
+   :func:`~repro.vehicle.trajectory.shared_sample`, which integrates
+   each (trajectory, rate) pair **once per process** — every chunk,
+   campaign cell and service batch in the process reads the same
+   read-only arrays;
 2. draw every rig's noise streams per seed (bit-identical RNG order,
    see :mod:`repro.sensors.batch`) and, for moving tests, synthesize
    every rig's vibration fields
@@ -67,6 +71,7 @@ from repro.sensors.batch import (
 from repro.vehicle import Trajectory
 from repro.vehicle.batch_vibration import stack_vibration_fields
 from repro.vehicle.profiles import static_level_profile
+from repro.vehicle.trajectory import shared_sample
 
 
 @dataclass
@@ -162,11 +167,14 @@ class DynamicEnsemble(LockstepEnsemble):
 def _sampled_phases(
     config: RigConfig, trajectory: Trajectory
 ) -> tuple[list, list]:
-    """Sample the calibration and test trajectories once per rate."""
+    """The calibration and test truth at each rate, shared per process."""
     calibration_trajectory = static_level_profile(config.calibration_duration)
     rates = {config.imu.sample_rate, config.acc.sample_rate}
     sampled = {
-        rate: (calibration_trajectory.sample(rate), trajectory.sample(rate))
+        rate: (
+            shared_sample(calibration_trajectory, rate),
+            shared_sample(trajectory, rate),
+        )
         for rate in rates
     }
     imu_phases = sampled[config.imu.sample_rate]

@@ -7,7 +7,8 @@ one call for campaigns and ensembles, one instance for a service —
 and use only this surface:
 
 - :meth:`WorkerPool.submit` — one task, returning its future;
-- :meth:`WorkerPool.kill_workers` — the deadline watchdog (SIGKILL);
+- :meth:`WorkerPool.kill_workers` — the deadline watchdog (SIGKILL),
+  also how a pool whose executor broke is marked dead;
 - :meth:`WorkerPool.restart` / :meth:`WorkerPool.shutdown`.
 
 Campaign cells and service batches reach their pool only through
@@ -73,7 +74,8 @@ class WorkerPool:
 
         Marks the pool broken; in-flight futures fail with
         :class:`BrokenProcessPool`.  :meth:`restart` builds a fresh
-        pool for the retry.
+        pool for the retry.  Called on a pool whose executor already
+        broke, it only marks the pool.
         """
         self._broken = True
         # ProcessPoolExecutor keeps its workers in the private

@@ -291,9 +291,12 @@ class Supervisor:
         item's deadline runs from its own submission; a miss SIGKILLs
         the workers.  A broken pool (killed worker, missed deadline, or
         dead before the call) drains its in-flight futures, then
-        restarts once.  A failed item re-queues after the policy's
-        backoff until its attempts run out, then quarantines — the
-        ladder :meth:`run` climbs in process.
+        restarts once.  Every :class:`BrokenProcessPool` marks the pool
+        itself dead (through ``kill_workers``), so a pool that broke
+        under an item that then quarantined is restarted before the
+        next call submits to it.  A failed item re-queues after the
+        policy's backoff until its attempts run out, then quarantines
+        — the ladder :meth:`run` climbs in process.
         """
         start = on_start or (lambda k, attempt: None)
         finish = on_settle or (lambda k, outcome: None)
@@ -315,7 +318,6 @@ class Supervisor:
         #: future -> (item index, monotonic submission time), in submit order.
         inflight: dict = {}
         backoff = 0.0
-        broken = False
 
         def settle(k: int, **fields) -> None:
             outcomes[k] = SupervisedOutcome(
@@ -331,6 +333,10 @@ class Supervisor:
             nonlocal backoff
             if isinstance(exc, BrokenProcessPool):
                 pool_failures[k] += 1
+                # However the executor died (a submit, an in-flight
+                # future), mark the pool itself dead, so the next
+                # submission, in this call or a later one, restarts it.
+                pool.kill_workers()
             if (
                 self.classify(exc) == PERMANENT
                 or attempts[k] >= policy.max_attempts
@@ -341,12 +347,9 @@ class Supervisor:
                 queue.append(k)
 
         while queue or inflight:
-            if not inflight and (broken or pool.broken):
+            if not inflight and pool.broken:
                 pool.restart()
-                broken = False
-            while queue and len(inflight) < pool.workers and not (
-                broken or pool.broken
-            ):
+            while queue and len(inflight) < pool.workers and not pool.broken:
                 if backoff > 0:
                     self.sleep(backoff)
                     backoff = 0.0
@@ -356,7 +359,6 @@ class Supervisor:
                 try:
                     future = pool.submit(task, items[k])
                 except BrokenProcessPool as exc:
-                    broken = True
                     failed(k, exc)
                 else:
                     inflight[future] = (k, time.monotonic())
@@ -374,7 +376,6 @@ class Supervisor:
                     try:
                         value = future.result()
                     except Exception as exc:
-                        broken = broken or isinstance(exc, BrokenProcessPool)
                         failed(k, exc)
                     else:
                         settle(k, status="completed", value=value)
@@ -387,7 +388,6 @@ class Supervisor:
                     # BrokenProcessPool and retry on the restarted pool.
                     del inflight[future]
                     pool.kill_workers()
-                    broken = True
                     timeouts[k] += 1
                     failed(
                         k,

@@ -9,7 +9,9 @@ angular rate and specific force — that the sensor models in
 Key entry points:
 
 - :class:`~repro.vehicle.trajectory.Trajectory` — a sequence of
-  maneuvers sampled into a :class:`~repro.vehicle.trajectory.TrajectoryData`.
+  maneuvers sampled into a :class:`~repro.vehicle.trajectory.TrajectoryData`;
+  :func:`~repro.vehicle.trajectory.shared_sample` serves the same
+  truth, integrated once per process, to the lockstep engines.
 - :mod:`repro.vehicle.profiles` — ready-made profiles reproducing the
   paper's test protocols (static tilt-table runs, dynamic drives).
 - :class:`~repro.vehicle.vibration.VibrationModel` — the engine/road

@@ -13,11 +13,43 @@ with ``a_b`` the body-frame coordinate acceleration, ``C_nb`` the
 NED→body DCM and ``g_n = (0, 0, +g)`` the gravity vector in NED (z
 down).  A vehicle at rest and level therefore senses
 ``f_b = (0, 0, -g)`` — the familiar "1 g up" reading.
+
+:meth:`Trajectory.sample` integrates in a pure-Python loop, and in the
+§11 protocol every rig flies the same deterministic trajectories, so
+the lockstep engines fetch truth through :func:`shared_sample`: one
+per-process memo of sampled truth in front of the integrator.
+
+- **Key.** The pickled ``(rate, initial_attitude, initial_speed,
+  [(maneuver class, maneuver field items), …])`` tuple.  Pickle
+  writes floats as their IEEE-754 bytes, so a hit needs every field
+  equal bit for bit: ``0.0`` and ``-0.0`` (equal under ``==``,
+  different ``body_rate`` bytes) or a one-ULP change are misses.
+  Object identity plays no part, so equal trajectories built
+  separately share one entry.
+- **Read-only values.** Every array of a returned
+  :class:`TrajectoryData` is flagged non-writeable and the dataclass
+  is frozen, so no caller can alter the truth another one reads.
+  Consumers that need to write (e.g. adding vibration) copy first.
+- **Bound.** Entries are evicted least recently used beyond
+  :data:`SHARED_TRUTH_BYTES`; a sample larger than the whole budget
+  is returned but not kept.
+- **Lock.** One :class:`threading.Lock` guards lookup, integration
+  and insertion: a supervisor deadline can leave a timed-out
+  in-process attempt running beside its retry, and the retry then
+  waits for that integration and hits it instead of repeating it.
+
+Spawned worker processes each hold their own memo.  The serial
+oracle, the full-system simulator and the registry probes call
+:meth:`Trajectory.sample` directly, so every oracle-vs-fast
+comparison checks memo-served truth against freshly integrated truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import pickle
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +62,16 @@ from repro.vehicle.maneuvers import Maneuver
 #: Gravity vector in the NED frame (z down), m/s**2.
 GRAVITY_NED = np.array([0.0, 0.0, STANDARD_GRAVITY])
 
+#: Byte budget of the :func:`shared_sample` memo.  One 110 s drive at
+#: 100 Hz is about 1.6 MB, so this holds every trajectory a campaign
+#: grid or a service instance revisits.
+SHARED_TRUTH_BYTES = 64 * 2**20
 
-@dataclass
+_SHARED: OrderedDict[bytes, "TrajectoryData"] = OrderedDict()
+_SHARED_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True)
 class TrajectoryData:
     """Densely sampled true motion of the platform.
 
@@ -63,6 +103,11 @@ class TrajectoryData:
 
     def __len__(self) -> int:
         return int(self.time.shape[0])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the sampled arrays."""
+        return sum(getattr(self, f.name).nbytes for f in fields(self))
 
     @property
     def duration(self) -> float:
@@ -187,3 +232,35 @@ class Trajectory:
             remaining -= maneuver.duration
         # Past the end: hold the final state (at rest).
         return np.zeros(3), np.zeros(3)
+
+
+def shared_sample(trajectory: Trajectory, rate: float) -> TrajectoryData:
+    """``trajectory.sample(rate)``, integrated once per process.
+
+    Returns the memoized, read-only :class:`TrajectoryData` for a
+    bit-identical ``(trajectory, rate)`` and integrates on a miss; see
+    the module docstring for the key, the bound and the lock.
+    """
+    key = pickle.dumps(
+        (
+            rate,
+            trajectory.initial_attitude,
+            trajectory.initial_speed,
+            [(type(m), tuple(vars(m).items())) for m in trajectory.maneuvers],
+        )
+    )
+    with _SHARED_LOCK:
+        data = _SHARED.get(key)
+        if data is not None:
+            _SHARED.move_to_end(key)
+            return data
+        # By attribute, so a wrapper on ``Trajectory.sample`` sees
+        # exactly the misses.
+        data = trajectory.sample(rate)
+        for f in fields(data):
+            getattr(data, f.name).setflags(write=False)
+        if data.nbytes <= SHARED_TRUTH_BYTES:
+            _SHARED[key] = data
+            while sum(d.nbytes for d in _SHARED.values()) > SHARED_TRUTH_BYTES:
+                _SHARED.popitem(last=False)
+        return data

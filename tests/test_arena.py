@@ -190,6 +190,11 @@ class TestChunkBoundaryBitIdentity:
             rows = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
             _assert_rows_equal(rows, oracle, f"chunk_size={chunk_size}")
 
+    def test_chunks_share_one_truth_integration(self, truth_integrations):
+        run_lockstep_jobs(_static_jobs(3), 1, chunk_size=1)
+        # Three chunks, one calibration level and one test drive.
+        assert len(truth_integrations) == 2
+
     def test_explicit_arena_reuse_across_ensembles(self):
         jobs = _static_jobs(4)
         arena = StateArena()

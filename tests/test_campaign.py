@@ -268,6 +268,27 @@ class TestMiniGridEquivalence:
             assert fast.resilience.timeouts == 0
 
 
+    def test_in_process_cells_share_one_truth_integration(
+        self, truth_integrations
+    ):
+        library = scenario_library()
+        faults = fault_library()
+        spec = CampaignSpec(
+            name="shared-truth",
+            scenarios=(library["static_bench"],),
+            faults=(
+                faults["nominal"],
+                faults["acc_dropout_window"],
+                faults["stuck_acc_axis"],
+            ),
+            seeds=(901,),
+        )
+        result = run_campaign(spec, engine="fast", workers=1)
+        assert result.statuses == ("completed",) * 3
+        # Three cells, one calibration level and one test drive.
+        assert len(truth_integrations) == 2
+
+
 @pytest.mark.resilience
 class TestPooledRefill:
     """The campaign pool is refilled per cell, not run in waves."""

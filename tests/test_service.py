@@ -23,13 +23,15 @@ these tests pin the service-specific machinery around it.
 """
 
 import asyncio
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.engines import resolve_engine
 from repro.errors import ConfigurationError, ServiceOverloadError
-from repro.resilience import Supervisor
+from repro.resilience import RetryPolicy, Supervisor
 from repro.scenarios.cache import CampaignCache
 from repro.scenarios.campaign import FaultSpec
 from repro.scenarios.faults import SensorDropout
@@ -84,6 +86,19 @@ def _mixed_requests(base: int = 300) -> list[ScenarioRequest]:
 
 def _oracle(requests):
     return resolve_engine("service", "model")(list(requests), 1)
+
+
+def _kill_when_spawned(pool):
+    """SIGKILL ``pool``'s workers shortly after they spawn (a real kill)."""
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        processes = list((pool._pool._processes or {}).values())
+        if processes:
+            time.sleep(0.2)  # let the batch reach the workers
+            for process in processes:
+                process.kill()
+            return
+        time.sleep(0.01)
 
 
 class _DeadPool:
@@ -256,6 +271,26 @@ class TestServiceBitIdentity:
             assert b.cache_hit and b.source == "cache"
             assert a.summary == b.summary
 
+    def test_sequential_batches_share_one_truth_integration(
+        self, truth_integrations
+    ):
+        requests = [
+            ScenarioRequest(scenario=BENCH, seeds=(340,)),
+            ScenarioRequest(scenario=BENCH, seeds=(341,)),
+        ]
+
+        async def scenario():
+            service = ScenarioService(workers=0, max_wait=0.001)
+            with service:
+                results = [await service.submit(r) for r in requests]
+            return service, results
+
+        service, results = asyncio.run(scenario())
+        assert service.metrics.batches == 2
+        # Two batches, one calibration level and one test drive.
+        assert len(truth_integrations) == 2
+        assert [r.summary for r in results] == _oracle(requests)
+
     def test_all_diverged_request_reports_none(self):
         request = ScenarioRequest(
             scenario=DRIVE,
@@ -345,29 +380,15 @@ class TestGracefulDegradation:
         # surfaces BrokenProcessPool, and the service restarts the pool
         # and re-runs the batch there — bit-identical to the oracle,
         # with the outage on the books.
-        import threading
-        import time
-
         requests = [
             ScenarioRequest(scenario=BENCH, seeds=(320, 321)),
             ScenarioRequest(scenario=BENCH, seeds=(321, 322)),
         ]
 
-        def kill_when_spawned(pool):
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                processes = list((pool._pool._processes or {}).values())
-                if processes:
-                    time.sleep(0.2)  # let the batch reach the workers
-                    for process in processes:
-                        process.kill()
-                    return
-                time.sleep(0.01)
-
         async def scenario():
             service = ScenarioService(workers=2, max_wait=0.05)
             killer = threading.Thread(
-                target=kill_when_spawned, args=(service._pool,), daemon=True
+                target=_kill_when_spawned, args=(service._pool,), daemon=True
             )
             killer.start()
             with service:
@@ -383,6 +404,39 @@ class TestGracefulDegradation:
         assert service.metrics.serial_fallback_batches == 0
         oracle = _oracle(requests)
         assert [r.summary for r in results] == oracle
+
+    def test_pool_killed_under_a_quarantined_batch_restarts_for_the_next(self):
+        # One pool attempt per batch: the worker killed during batch 1
+        # quarantines that batch's pool rung, and it completes on the
+        # serial rung.  The pool it left dead is restarted before batch
+        # 2 submits, so batch 2 runs on the pool at its first attempt.
+        first = ScenarioRequest(scenario=BENCH, seeds=(330, 331))
+        second = ScenarioRequest(scenario=BENCH, seeds=(332,))
+
+        async def scenario():
+            service = ScenarioService(
+                workers=1,
+                max_wait=0.001,
+                supervisor=Supervisor(RetryPolicy(max_attempts=1)),
+            )
+            killer = threading.Thread(
+                target=_kill_when_spawned, args=(service._pool,), daemon=True
+            )
+            killer.start()
+            with service:
+                one = await service.submit(first)
+                killer.join(timeout=30.0)
+                two = await service.submit(second)
+            return service, one, two
+
+        service, one, two = asyncio.run(scenario())
+        assert one.source == "serial-fallback"
+        assert one.attempts == 2
+        assert two.source == "pool"
+        assert two.attempts == 1
+        assert service.metrics.pool_failures == 1
+        assert service.metrics.serial_fallback_batches == 1
+        assert [one.summary, two.summary] == _oracle([first, second])
 
     def test_results_survive_pool_death_bit_identically(self):
         # A pool already marked dead is restarted before the batch is

@@ -1,5 +1,6 @@
 """Tests for repro.vehicle: maneuvers, trajectories, vibration, bench."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ from repro.vehicle import (
     static_level_profile,
     static_tilt_profile,
 )
+from repro.vehicle import trajectory as trajectory_module
+from repro.vehicle.trajectory import shared_sample
 
 
 class TestManeuvers:
@@ -123,6 +126,125 @@ class TestTrajectory:
     def test_bad_sample_rate(self):
         with pytest.raises(ConfigurationError):
             static_level_profile(5.0).sample(0.0)
+
+
+def _short_drive(angle: float = 0.3) -> Trajectory:
+    """A few seconds of tilt, turn and acceleration, built afresh."""
+    return Trajectory(
+        [
+            Dwell(0.5),
+            RotateAbout("y", angle, 1.0),
+            Turn(0.4, 10.0, 1.5),
+            Accelerate(2.0, 1.0),
+        ],
+        initial_attitude=EulerAngles(0.01, -0.02, 0.03),
+        initial_speed=10.0,
+    )
+
+
+class TestSharedSample:
+    """The per-process memo of sampled truth in front of the integrator."""
+
+    def test_every_library_trajectory_matches_a_fresh_sample(self):
+        from repro.scenarios.spec import scenario_library
+
+        trajectories = [
+            spec.build_trajectory() for spec in scenario_library().values()
+        ]
+        for trajectory in trajectories + [static_level_profile(40.0)]:
+            shared = shared_sample(trajectory, 100.0)
+            fresh = trajectory.sample(100.0)
+            for field in dataclasses.fields(fresh):
+                got = getattr(shared, field.name)
+                want = getattr(fresh, field.name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), field.name
+
+    def test_equal_trajectories_built_apart_integrate_once(
+        self, truth_integrations
+    ):
+        first = shared_sample(_short_drive(), 100.0)
+        second = shared_sample(_short_drive(), 100.0)
+        assert second is first
+        assert len(truth_integrations) == 1
+
+    def test_any_bit_of_the_key_misses(self, truth_integrations):
+        shared_sample(_short_drive(0.3), 100.0)
+        shared_sample(_short_drive(np.nextafter(0.3, 1.0)), 100.0)
+        assert len(truth_integrations) == 2
+        # Equal under ==, yet they integrate to different bytes.
+        positive = Trajectory([RotateAbout("z", 0.0, 1.0)])
+        negative = Trajectory([RotateAbout("z", -0.0, 1.0)])
+        assert positive.maneuvers[0].angle == negative.maneuvers[0].angle
+        a = shared_sample(positive, 100.0)
+        b = shared_sample(negative, 100.0)
+        assert a.body_rate.tobytes() != b.body_rate.tobytes()
+        assert len(truth_integrations) == 4
+        shared_sample(_short_drive(0.3), 50.0)
+        assert len(truth_integrations) == 5
+
+    def test_concurrent_callers_integrate_each_key_once(
+        self, truth_integrations
+    ):
+        import sys
+        import threading
+
+        drives = [_short_drive(0.1 * k) for k in (1, 2, 3)]
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda d=d: results.append(shared_sample(d, 100.0))
+            )
+            for d in drives * 4
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 12
+        assert len({id(r) for r in results}) == 3
+        assert len(truth_integrations) == 3
+
+    def test_values_are_read_only(self):
+        data = shared_sample(_short_drive(), 100.0)
+        for field in dataclasses.fields(data):
+            array = getattr(data, field.name)
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.time = np.zeros(3)
+
+    def test_byte_budget_evicts_least_recently_used(
+        self, truth_integrations, monkeypatch
+    ):
+        one = _short_drive().sample(100.0).nbytes
+        truth_integrations.clear()
+        monkeypatch.setattr(trajectory_module, "SHARED_TRUTH_BYTES", 2 * one)
+        a, b, c = _short_drive(0.1), _short_drive(0.2), _short_drive(0.3)
+        shared_sample(a, 100.0)
+        shared_sample(b, 100.0)
+        shared_sample(a, 100.0)  # a is now the most recently used
+        shared_sample(c, 100.0)  # over budget: evicts b, keeps a
+        assert len(truth_integrations) == 3
+        shared_sample(a, 100.0)
+        assert len(truth_integrations) == 3
+        shared_sample(b, 100.0)
+        assert len(truth_integrations) == 4
+
+    def test_entry_over_the_budget_is_returned_not_kept(
+        self, truth_integrations, monkeypatch
+    ):
+        monkeypatch.setattr(trajectory_module, "SHARED_TRUTH_BYTES", 1)
+        data = shared_sample(_short_drive(), 100.0)
+        assert not data.time.flags.writeable
+        shared_sample(_short_drive(), 100.0)
+        assert len(truth_integrations) == 2
 
 
 class TestProfiles:
