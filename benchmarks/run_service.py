@@ -41,7 +41,8 @@ from repro.service.metrics import percentile
 REPORT_PATH = REPO_ROOT / "BENCH_service.json"
 
 #: Group recipes: each entry yields one compatibility group (requests
-#: inside it coalesce; requests across entries never do).
+#: inside it coalesce; requests across entries never do, because each
+#: entry's scenario is named after its group).
 _GROUP_RECIPES = (
     {"measurement_sigma": 0.006, "fault": None},
     {"measurement_sigma": 0.012, "fault": None},
@@ -61,8 +62,11 @@ def build_requests(
     """``groups`` compatibility groups of ``per_group`` one-seed requests.
 
     Every request carries a distinct seed; group membership is decided
-    by the scenario/fault recipe, exactly the axes ``group_key()``
-    digests.  The burst is interleaved round-robin across groups the
+    by the scenario, which ``group_key()`` digests.  The fault recipe
+    is not part of the key (rows carry their own fault chains), so the
+    dropout group coalesces apart from the 0.006 group only because
+    each group's scenario has its own name: that keeps ``batches ==
+    groups``.  The burst is interleaved round-robin across groups the
     way concurrent clients would arrive, so coalescing has to regroup
     them — nothing about the submission order helps it.
     """

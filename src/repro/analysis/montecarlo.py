@@ -45,7 +45,7 @@ from repro.experiments.table1 import (
 from repro.fusion import BoresightConfig
 from repro.geometry import EulerAngles
 from repro.resilience.pool import WorkerPool
-from repro.scenarios.faults import Fault, SensorDropout
+from repro.scenarios.faults import Fault
 from repro.vehicle import Trajectory, VibrationSpec
 
 #: Default body-rate magnitude (rad/s) above which the dynamic
@@ -180,6 +180,8 @@ class EnsembleJob:
     The typed job payload shared by the static and dynamic serial
     engines (and their ``workers > 1`` process pools): everything a
     worker needs to reproduce the run bit-for-bit from the seed alone.
+    Campaign cells and service requests build theirs through
+    :func:`repro.scenarios.campaign.scenario_jobs`.
     """
 
     seed: int
@@ -188,9 +190,9 @@ class EnsembleJob:
     estimator_config: BoresightConfig
     #: Whether the vibration environment is switched on (dynamic tests).
     moving: bool
-    #: ACC failure-injection time for this seed, seconds; None disables.
-    acc_dropout_time: float | None = None
-    #: Fault injectors applied to the run's test-phase streams.
+    #: This run's fault chain, applied in order to its test-phase
+    #: streams; a scheduled ACC failure is its trailing open-ended
+    #: :class:`~repro.scenarios.faults.SensorDropout`.
     faults: tuple[Fault, ...] = ()
     #: Vibration environment override for moving runs; None keeps the
     #: rig default.
@@ -205,15 +207,9 @@ def _run_job(
     Returns ``None`` when the run's filter diverges — the covariance
     check raises :class:`~repro.errors.FilterDivergenceError`, or the
     non-finite state poisons a LAPACK call (``LinAlgError``).  The
-    caller masks such seeds instead of aborting the ensemble.  The
-    job's ACC dropout time becomes an open-ended
-    :class:`~repro.scenarios.faults.SensorDropout` appended after the
-    job's faults, as the lockstep engine injects it.
+    caller masks such seeds instead of aborting the ensemble.
     """
-    faults = job.faults
-    if job.acc_dropout_time is not None:
-        faults += (SensorDropout(sensor="acc", start=job.acc_dropout_time),)
-    config_kwargs = dict(seed=job.seed, faults=faults)
+    config_kwargs = dict(seed=job.seed, faults=job.faults)
     if job.vibration is not None:
         config_kwargs["vibration"] = job.vibration
     rig = BoresightTestRig(RigConfig(**config_kwargs))

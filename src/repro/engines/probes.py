@@ -542,9 +542,10 @@ register_probe("campaign", "fast")(_campaign_probe("fast"))
 
 # --------------------------------------------------------------------
 # service — one-request-at-a-time oracle vs the coalescing scenario
-# service.  Three compressed requests: two sharing a compatibility
-# group (so the fast path really merges them into one lockstep batch)
-# plus a fault-recipe outlier that must land in its own batch.  The
+# service.  Three compressed requests in one compatibility group, so
+# the fast path merges them into one lockstep batch: two nominal ones
+# and a fault-recipe request whose first seed repeats a nominal seed
+# under a different chain, so that seed runs as two rows.  The
 # payload pins each request's full summary, in request order.
 # --------------------------------------------------------------------
 

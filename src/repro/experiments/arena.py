@@ -143,13 +143,14 @@ def iter_job_outcomes(
     serial engine's masking.
 
     This is the splitting point the scenario service's request
-    coalescing rides on: because per-seed RNG trees are independent,
-    the rows of a merged many-request batch are identical to the rows
+    coalescing rides on: because per-seed RNG trees are independent
+    and each row applies only its own fault chain, the rows of a
+    merged many-request batch are identical to the rows
     each request would produce alone, so regrouping them per request
     is bit-exact by construction.
 
-    Callers must have validated the job list already (homogeneity,
-    distinct seeds) — this function only partitions and executes.
+    Callers must have validated the job list already (homogeneity)
+    — this function only partitions and executes.
     """
     # Imported lazily: batch_protocol sits on top of this module, and
     # montecarlo imports the protocol layer — a module-level import in

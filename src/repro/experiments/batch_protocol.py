@@ -29,6 +29,11 @@ speedups).  A seed whose filter diverges (e.g. under an injected ACC
 dropout) is flagged and masked out of the aggregation in both engines
 rather than aborting the ensemble.
 
+Faults are a property of each row: every run applies its own fault
+chain (a job's ``faults``) to its own row views, so one batch may mix
+fault recipes and repeat a seed under different chains.  Rows are kept
+apart by their index, never by their seed.
+
 The laser-boresight truth draw is skipped: it consumes an independent
 child generator (stream 300), so skipping it cannot perturb any other
 stream, and the ensemble statistics compare against simulation truth.
@@ -37,7 +42,7 @@ stream, and the ensemble statistics compare against simulation truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,12 +61,7 @@ from repro.fusion.calibration import (
 )
 from repro.fusion.reconstruction import reconstruct_stacked
 from repro.geometry import EulerAngles
-from repro.scenarios.faults import (
-    Fault,
-    RunStreams,
-    SensorDropout,
-    apply_faults,
-)
+from repro.scenarios.faults import Fault, RunStreams, apply_faults
 from repro.sensors import Mounting
 from repro.sensors.batch import (
     sense_acc_stacked,
@@ -195,12 +195,14 @@ def _run_lockstep(
     estimator_config: BoresightConfig | None,
     rig_config: RigConfig | None,
     moving: bool,
-    acc_dropout: Mapping[int, float] | None,
-    faults: Sequence[Fault] = (),
+    faults: Sequence[Sequence[Fault]] | None = None,
     arena: StateArena | None = None,
 ) -> tuple[BatchBoresightResult, StackedSensorCalibration]:
     """Sense → calibrate → reconstruct → filter R rigs in lockstep.
 
+    ``faults`` holds one fault chain per seed, in seed order (``None``
+    injects none); each run applies the rig config's shared faults and
+    then its own chain.
     ``arena`` supplies the reusable scratch pool the stacked stages
     draw their ``(R, …)`` buffers from; ``None`` keeps every stage on
     private allocations (single-shot callers).  With an arena, the
@@ -211,6 +213,9 @@ def _run_lockstep(
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
+    chains = [()] * len(seeds) if faults is None else list(faults)
+    if len(chains) != len(seeds) or any(isinstance(c, Fault) for c in chains):
+        raise ConfigurationError("faults takes one fault chain per seed")
     config = rig_config if rig_config is not None else RigConfig()
     imu_phases, acc_phases = _sampled_phases(config, trajectory)
 
@@ -247,18 +252,10 @@ def _run_lockstep(
 
     # Inject faults per run, on the row views of the stacked test
     # streams — the identical NumPy expressions the serial rig runs on
-    # its per-seed arrays, so faulted ensembles stay bit-exact.  The
-    # per-seed ``acc_dropout`` map rides along as an open-ended
-    # SensorDropout appended last, exactly as the serial oracle's
-    # ``_run_job`` builds it.
-    shared_faults = config.faults + tuple(faults)
-    for r, seed in enumerate(seeds):
-        dropout = (acc_dropout or {}).get(int(seed))
-        run_faults = shared_faults
-        if dropout is not None:
-            run_faults = run_faults + (
-                SensorDropout(sensor="acc", start=dropout),
-            )
+    # its per-seed arrays, so faulted ensembles stay bit-exact.  Row r
+    # applies its own chain, as the serial oracle's ``_run_job`` does.
+    for r, (seed, chain) in enumerate(zip(seeds, chains)):
+        run_faults = config.faults + tuple(chain)
         if run_faults:
             apply_faults(
                 run_faults,
@@ -292,16 +289,10 @@ def _ensemble_for_jobs(jobs, arena: StateArena | None = None):
     The per-chunk unit of the chunked scheduler
     (:func:`repro.experiments.arena.iter_job_outcomes`): unpacks a
     validated :class:`~repro.analysis.montecarlo.EnsembleJob` block
-    into the static or dynamic lockstep runner, drawing every stacked
-    scratch array from ``arena``.
+    into the static or dynamic lockstep runner, one fault chain per
+    row, drawing every stacked scratch array from ``arena``.
     """
     first = jobs[0]
-    seeds = [job.seed for job in jobs]
-    acc_dropout = {
-        job.seed: job.acc_dropout_time
-        for job in jobs
-        if job.acc_dropout_time is not None
-    }
     rig_config = (
         RigConfig(vibration=first.vibration)
         if first.vibration is not None
@@ -309,13 +300,12 @@ def _ensemble_for_jobs(jobs, arena: StateArena | None = None):
     )
     runner = run_dynamic_ensemble if first.moving else run_static_ensemble
     return runner(
-        seeds=seeds,
+        seeds=[job.seed for job in jobs],
         misalignment=first.misalignment,
         trajectory=first.trajectory,
         estimator_config=first.estimator_config,
         rig_config=rig_config,
-        acc_dropout=acc_dropout or None,
-        faults=first.faults,
+        faults=[job.faults for job in jobs],
         arena=arena,
     )
 
@@ -336,9 +326,11 @@ def run_lockstep_jobs(jobs, workers: int = 1, chunk_size: int | None = None):
     reused :class:`~repro.experiments.arena.StateArena`, so arbitrary
     R streams through bounded memory; chunking only partitions the
     job list, so the rows are bit-identical at every chunk size.
-    The jobs must be homogeneous — same trajectory, misalignment,
-    estimator config and ``moving`` flag, differing only by seed and
-    ACC-dropout time — and single-process (``workers`` must be 1).
+    The jobs must share one trajectory, misalignment and estimator
+    config object, one ``moving`` flag and one vibration environment,
+    and run single-process (``workers`` must be 1).  Seeds and fault
+    chains vary freely per row: a seed may repeat under different
+    chains, and each row keeps its own outcome.
     """
     if not jobs:
         raise ConfigurationError("need at least one job")
@@ -354,23 +346,14 @@ def run_lockstep_jobs(jobs, workers: int = 1, chunk_size: int | None = None):
             or job.misalignment is not first.misalignment
             or job.estimator_config is not first.estimator_config
             or job.moving != first.moving
-            or job.faults != first.faults
             or job.vibration != first.vibration
         ):
             raise ConfigurationError(
                 "the lockstep engine requires homogeneous jobs: shared "
                 "trajectory, misalignment and estimator config objects, "
-                "one moving flag and one fault/vibration set (only seeds "
-                "and dropout times vary)"
+                "one moving flag and one vibration set (only seeds and "
+                "fault chains vary)"
             )
-    seeds = [job.seed for job in jobs]
-    if len(set(seeds)) != len(seeds):
-        # Per-job state (dropout times) is keyed by seed downstream;
-        # duplicate seeds would silently share it, diverging from the
-        # serial oracle's job-by-job behavior.
-        raise ConfigurationError(
-            "the lockstep engine requires distinct seeds per job"
-        )
     return list(iter_job_outcomes(jobs, chunk_size=chunk_size))
 
 
@@ -388,8 +371,7 @@ def run_static_ensemble(
     trajectory: Trajectory,
     estimator_config: BoresightConfig | None = None,
     rig_config: RigConfig | None = None,
-    acc_dropout: Mapping[int, float] | None = None,
-    faults: Sequence[Fault] = (),
+    faults: Sequence[Sequence[Fault]] | None = None,
     arena: StateArena | None = None,
 ) -> StaticEnsemble:
     """Run the static §11 protocol for every seed, batched in lockstep.
@@ -400,12 +382,11 @@ def run_static_ensemble(
     pipeline — with all per-seed arrays stacked on a leading run axis.
     ``rig_config`` supplies the shared hardware parameters (its
     ``seed`` field is ignored; the ensemble seeds come from ``seeds``).
-    ``acc_dropout`` maps seeds to an ACC-failure time (an open-ended
-    :class:`~repro.scenarios.faults.SensorDropout` from that
-    test-phase time on); seeds whose filter diverges are masked, not
-    fatal.  ``faults`` injects the same :mod:`repro.scenarios.faults`
-    chain into every run (per-seed randomness comes from each fault's
-    own RNG).
+    ``faults`` holds one :mod:`repro.scenarios.faults` chain per seed,
+    in seed order (per-seed randomness comes from each fault's own
+    RNG); an ACC failure is an open-ended
+    :class:`~repro.scenarios.faults.SensorDropout` at the end of that
+    seed's chain.  Seeds whose filter diverges are masked, not fatal.
     """
     result, calibration = _run_lockstep(
         seeds,
@@ -414,7 +395,6 @@ def run_static_ensemble(
         estimator_config,
         rig_config,
         moving=False,
-        acc_dropout=acc_dropout,
         faults=faults,
         arena=arena,
     )
@@ -432,8 +412,7 @@ def run_dynamic_ensemble(
     trajectory: Trajectory,
     estimator_config: BoresightConfig | None = None,
     rig_config: RigConfig | None = None,
-    acc_dropout: Mapping[int, float] | None = None,
-    faults: Sequence[Fault] = (),
+    faults: Sequence[Sequence[Fault]] | None = None,
     arena: StateArena | None = None,
 ) -> DynamicEnsemble:
     """Run the dynamic §11 protocol for every seed, batched in lockstep.
@@ -444,11 +423,11 @@ def run_dynamic_ensemble(
     (stacked synthesis, bit-identical per seed to the serial
     :class:`~repro.vehicle.vibration.VibrationModel` pair) and, when
     ``estimator_config`` arms ``motion_gate_rate``, gates its own
-    measurement updates on its own measured body rate.  ``acc_dropout``
-    maps seeds to an ACC-failure time for divergence studies; diverged
-    seeds are flagged on the returned ensemble and masked out of
-    :meth:`~LockstepEnsemble.outcomes`.  ``faults`` injects the same
-    :mod:`repro.scenarios.faults` chain into every run.
+    measurement updates on its own measured body rate.  ``faults``
+    holds one :mod:`repro.scenarios.faults` chain per seed, as for
+    :func:`run_static_ensemble`; diverged seeds (e.g. after an ACC
+    dropout) are flagged on the returned ensemble and masked out of
+    :meth:`~LockstepEnsemble.outcomes`.
     """
     result, calibration = _run_lockstep(
         seeds,
@@ -457,7 +436,6 @@ def run_dynamic_ensemble(
         estimator_config,
         rig_config,
         moving=True,
-        acc_dropout=acc_dropout,
         faults=faults,
         arena=arena,
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.analysis.montecarlo import (
     EnsembleJob,
@@ -47,6 +47,8 @@ from repro.analysis.montecarlo import (
 from repro.engines import register_engine, resolve_engine
 from repro.errors import ConfigurationError
 from repro.experiments.table1 import DEFAULT_MISALIGNMENT
+from repro.fusion import BoresightConfig
+from repro.geometry import EulerAngles
 from repro.resilience.journal import CampaignJournal
 from repro.resilience.supervisor import SupervisedOutcome, Supervisor
 from repro.scenarios.cache import CampaignCache, canonical_digest
@@ -115,6 +117,34 @@ def fault_library() -> dict[str, FaultSpec]:
     return {spec.name: spec for spec in specs}
 
 
+def scenario_jobs(
+    scenario: ScenarioSpec,
+    rows: Sequence[tuple[int, tuple[Fault, ...]]],
+    misalignment: EulerAngles,
+    estimator_config: BoresightConfig,
+) -> list[EnsembleJob]:
+    """One :class:`EnsembleJob` per ``(seed, fault chain)`` row, in order.
+
+    The one place jobs are built, for campaign cells and service
+    requests alike.  The trajectory is materialized once and, like
+    the other payloads, shared by identity, as the lockstep engine
+    requires.
+    """
+    trajectory = scenario.build_trajectory()
+    return [
+        EnsembleJob(
+            seed=seed,
+            trajectory=trajectory,
+            misalignment=misalignment,
+            estimator_config=estimator_config,
+            moving=scenario.moving,
+            faults=chain,
+            vibration=scenario.vibration,
+        )
+        for seed, chain in rows
+    ]
+
+
 @dataclass(frozen=True)
 class CampaignCell:
     """One (scenario, fault recipe, seed list) grid cell, picklable.
@@ -139,23 +169,15 @@ class CampaignCell:
 
     def jobs(self) -> list[EnsembleJob]:
         """The cell's ensemble jobs: scenario faults, then recipe faults."""
-        trajectory = self.scenario.build_trajectory()
-        estimator_config = self.scenario.build_estimator_config(
-            fallback_hold=self.fallback_hold
+        chain = self.scenario.faults + self.fault.faults
+        return scenario_jobs(
+            self.scenario,
+            [(seed, chain) for seed in self.seeds],
+            DEFAULT_MISALIGNMENT,
+            self.scenario.build_estimator_config(
+                fallback_hold=self.fallback_hold
+            ),
         )
-        faults = self.scenario.faults + self.fault.faults
-        return [
-            EnsembleJob(
-                seed=seed,
-                trajectory=trajectory,
-                misalignment=DEFAULT_MISALIGNMENT,
-                estimator_config=estimator_config,
-                moving=self.scenario.moving,
-                faults=faults,
-                vibration=self.scenario.vibration,
-            )
-            for seed in self.seeds
-        ]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ ACC NaN cut — hard-coded into both the serial rig and the lockstep
 ensemble driver.  This module generalizes it into a declarative
 library of :class:`Fault` objects that the campaign layer
 (:mod:`repro.scenarios.campaign`) composes freely; the per-seed cut
-itself is now an open-ended :class:`SensorDropout`.
+itself is now an open-ended :class:`SensorDropout` at the end of that
+seed's fault chain.
 
 Bit-identity by construction
 ----------------------------
@@ -13,7 +14,8 @@ Every fault implements one method, :meth:`Fault.apply`, that mutates a
 :class:`RunStreams` view of *one run's* test-phase sensor arrays in
 place.  The serial rig wraps its sample objects directly; the lockstep
 ensemble wraps the ``r``-th row views of its stacked ``(R, N, ...)``
-arrays (:mod:`repro.sensors.batch`) and loops runs.  Both engines
+arrays (:mod:`repro.sensors.batch`) and applies row ``r``'s own
+chain, so rows of one batch may carry different chains.  Both engines
 therefore execute the *same* NumPy expressions on bit-identical
 sensed data, so the faulted streams — and everything downstream —
 stay bit-identical per run.  The registry equivalence harness and the
@@ -102,9 +104,10 @@ def fault_rng(seed: int, salt: int) -> np.random.Generator:
 
 
 def _check_window(start: float, duration: float | None) -> None:
-    if start < 0.0:
+    # Negated comparisons, so a NaN fails them instead of slipping past.
+    if not start >= 0.0:
         raise ConfigurationError(f"fault start must be >= 0, got {start}")
-    if duration is not None and duration <= 0.0:
+    if duration is not None and not duration > 0.0:
         raise ConfigurationError(
             f"fault duration must be > 0, got {duration}"
         )
@@ -116,8 +119,7 @@ def _window_mask(
     """Boolean mask of samples inside ``[start, start + duration)``.
 
     An open-ended window (``duration=None``) is ``time >= start`` —
-    the per-seed ACC dropout cut of
-    :attr:`~repro.analysis.montecarlo.EnsembleJob.acc_dropout_time`.
+    the per-seed ACC dropout cut a request's ``acc_dropout`` schedules.
     """
     if duration is None:
         return time >= start
@@ -129,8 +131,8 @@ class Fault(ABC):
 
     Subclasses are frozen dataclasses: hashable, picklable (they ride
     :class:`~repro.analysis.montecarlo.EnsembleJob` into spawned
-    workers) and comparable (the lockstep engine's homogeneity check
-    uses equality).
+    workers) and comparable (the scenario service dedupes a batch's
+    rows by ``(seed, fault chain)``).
     """
 
     @abstractmethod
@@ -143,8 +145,8 @@ class SensorDropout(Fault):
     """A windowed outage: the sensor reads NaN inside the window.
 
     ``duration=None`` leaves the sensor dead for the rest of the run —
-    the fault both ensemble engines build from a job's per-seed
-    ``acc_dropout_time``.  ``jitter`` randomizes each run's window start
+    the fault a request's per-seed ``acc_dropout`` time becomes, last
+    in that seed's chain.  ``jitter`` randomizes each run's window start
     by ±jitter seconds (per-seed, via :func:`fault_rng`), modelling
     failures that do not strike every vehicle at the same instant.
     """
@@ -162,7 +164,7 @@ class SensorDropout(Fault):
         _check_window(self.start, self.duration)
         if self.sensor not in _SENSORS:
             raise ConfigurationError(f"unknown sensor {self.sensor!r}")
-        if self.jitter < 0.0:
+        if not self.jitter >= 0.0:
             raise ConfigurationError("jitter must be >= 0")
 
     def apply(self, streams: RunStreams, seed: int) -> None:
@@ -232,7 +234,7 @@ class SaturatedAxis(Fault):
         _check_window(self.start, self.duration)
         if self.sensor not in _SENSORS:
             raise ConfigurationError(f"unknown sensor {self.sensor!r}")
-        if self.level <= 0.0:
+        if not self.level > 0.0:
             raise ConfigurationError("saturation level must be > 0")
 
     def apply(self, streams: RunStreams, seed: int) -> None:
@@ -265,7 +267,7 @@ class ClockSkew(Fault):
     def __post_init__(self) -> None:
         if self.sensor not in _SENSORS:
             raise ConfigurationError(f"unknown sensor {self.sensor!r}")
-        if self.jitter_ppm < 0.0:
+        if not self.jitter_ppm >= 0.0:
             raise ConfigurationError("jitter_ppm must be >= 0")
 
     def apply(self, streams: RunStreams, seed: int) -> None:
@@ -364,10 +366,9 @@ class DriftRamp(Fault):
     axes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        _check_window(self.start, None)
         if self.sensor not in _SENSORS:
             raise ConfigurationError(f"unknown sensor {self.sensor!r}")
-        if self.start < 0.0:
-            raise ConfigurationError("fault start must be >= 0")
 
     def apply(self, streams: RunStreams, seed: int) -> None:
         time = streams.time_of(self.sensor)
@@ -548,9 +549,9 @@ def apply_faults(
     """Apply ``faults`` to one run's streams, in order.
 
     Order matters (a dropout after a drift ramp NaNs the ramped
-    values; the reverse ramps the NaNs) and both engines use the same
-    order: the scenario's and recipe's faults first, then the job's
-    per-seed ACC dropout, if any.
+    values; the reverse ramps the NaNs) and both engines apply a job's
+    chain as built: the scenario's faults, the recipe's, then the
+    seed's scheduled ACC dropout, if any.
     """
     for fault in faults:
         if not isinstance(fault, Fault):

@@ -15,8 +15,9 @@ by default): deadlines, retry/backoff, pool restart, serial per-seed
 fallback and poison quarantine.
 
 Per-request results are bit-identical to executing the same request
-alone through the serial oracle: per-seed RNG trees are independent,
-so merging requests only merges which seeds share a stacked array.
+alone through the serial oracle: per-seed RNG trees are independent
+and each row applies only its own fault chain, so merging requests
+only merges which rows share a stacked array.
 The ``"service"`` engine registry domain pins exactly that —
 ``"model"`` executes one request at a time, ``"fast"`` coalesces —
 under the automatic oracle harness.

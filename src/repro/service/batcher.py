@@ -24,7 +24,7 @@ to a loop between calls, so one instance survives across successive
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Awaitable, Callable
 
 from repro.errors import ServiceOverloadError
@@ -37,7 +37,6 @@ class PendingRequest:
     request: object
     future: asyncio.Future
     admitted_at: float
-    group_key: str = field(default="")
 
 
 class DynamicBatcher:
@@ -86,7 +85,6 @@ class DynamicBatcher:
                 f"admission queue full ({self._pending_count} pending, "
                 f"max_pending={self.max_pending}); retry or shed load"
             )
-        entry.group_key = key
         group = self._groups.setdefault(key, [])
         group.append(entry)
         self._pending_count += 1

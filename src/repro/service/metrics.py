@@ -49,7 +49,9 @@ class ServiceMetrics:
     batches: int = 0
     #: Requests carried by those batches (occupancy numerator).
     batched_requests: int = 0
-    #: Distinct jobs (seeds) carried by those batches.
+    #: Lockstep rows carried by those batches: one per distinct
+    #: ``(seed, fault chain)`` in a batch, so a seed run under two
+    #: chains counts twice.
     batched_jobs: int = 0
     #: Pool-rung attempts lost to a dead worker pool; the ladder
     #: restarts the pool before it retries the batch.

@@ -10,15 +10,17 @@ own cache key.  A :class:`ScenarioResult` wraps the request's
 serving metadata (cache hit, execution source, batch occupancy,
 latency).
 
-The coalescing contract lives here too: :meth:`ScenarioRequest.group_key`
-digests everything *except* the seed list and the dropout schedule, so
-two requests share a key exactly when their jobs differ only in which
-seeds run — the condition under which merging their job lists into one
-lockstep batch is bit-exact (per-seed RNG trees are independent).
-:func:`coalesce_requests` performs the merge, deferring requests whose
-dropout schedule conflicts with an already-merged request on a shared
-seed; :func:`summarize_request` regroups the merged batch's per-seed
-outcome rows back into one summary per request, through the same
+The coalescing contract lives here too.  A request's runs are *rows*,
+each keyed by ``(seed, fault chain)`` (:meth:`ScenarioRequest.row_keys`):
+the chain is the scenario's faults, then the recipe's, then the seed's
+scheduled ACC dropout.  :meth:`ScenarioRequest.group_key` digests
+everything else that shapes a run — scenario, misalignment, estimator
+tuning — so two requests share a key exactly when merging their rows
+into one lockstep batch is bit-exact (per-seed RNG trees are
+independent, and each row applies only its own chain).
+:func:`coalesce_requests` performs the merge, one job per distinct row
+key; :func:`summarize_request` regroups the batch's outcome rows back
+into one summary per request, through the same
 :func:`~repro.analysis.montecarlo.summarize_rows` every caller of an
 ensemble engine uses.
 """
@@ -37,7 +39,8 @@ from repro.errors import ConfigurationError
 from repro.fusion import BoresightConfig
 from repro.geometry import EulerAngles
 from repro.scenarios.cache import canonical_digest
-from repro.scenarios.campaign import FaultSpec
+from repro.scenarios.campaign import FaultSpec, scenario_jobs
+from repro.scenarios.faults import Fault, SensorDropout
 from repro.scenarios.spec import ScenarioSpec
 
 #: The healthy-baseline recipe requests default to.
@@ -45,7 +48,7 @@ NOMINAL_FAULT = FaultSpec(name="nominal")
 
 #: Version tag folded into every compatibility key, so a change to the
 #: grouping rule can never alias old and new groups.
-_GROUP_KEY_VERSION = "service-group-v1"
+_GROUP_KEY_VERSION = "service-group-v2"
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,8 @@ class ScenarioRequest:
     (:meth:`~repro.scenarios.spec.ScenarioSpec.build_estimator_config`);
     leave it ``None`` to derive.  ``acc_dropout`` schedules per-seed
     ACC failures as ``(seed, time)`` pairs — every scheduled seed must
-    be in ``seeds``.
+    be in ``seeds``, and every time must be a valid
+    :class:`~repro.scenarios.faults.SensorDropout` start.
     """
 
     scenario: ScenarioSpec
@@ -102,10 +106,26 @@ class ScenarioRequest:
             raise ConfigurationError(
                 f"acc_dropout schedules seeds not in the request: {stray}"
             )
+        for _, time in dropout:
+            # The fault's own checks: a bad time is refused here, before
+            # it can sink a batch it shares with valid requests.
+            SensorDropout(sensor="acc", start=time)
 
-    def dropout_map(self) -> dict[int, float]:
-        """The dropout schedule as ``{seed: time}``."""
-        return dict(self.acc_dropout)
+    def row_keys(self) -> list[tuple[int, tuple[Fault, ...]]]:
+        """This request's rows as ``(seed, fault chain)``, in seed order.
+
+        The chain is the scenario's faults, then the recipe's, then —
+        for a seed ``acc_dropout`` schedules — an open-ended ACC
+        :class:`~repro.scenarios.faults.SensorDropout` from that time
+        on.  With the group key, the pair fixes the row's outcome, so
+        it is what a batch dedupes and regroups by.
+        """
+        chain = self.scenario.faults + self.fault.faults
+        cut = {
+            seed: (SensorDropout(sensor="acc", start=time),)
+            for seed, time in self.acc_dropout
+        }
+        return [(seed, chain + cut.get(seed, ())) for seed in self.seeds]
 
     def effective_estimator_config(self) -> BoresightConfig:
         """The override, or the scenario-derived tuning."""
@@ -118,17 +138,17 @@ class ScenarioRequest:
     def group_key(self) -> str:
         """The coalescing compatibility key.
 
-        Everything that shapes a job *except* its seed and dropout
-        time: requests with equal keys may merge into one lockstep
-        batch, because their merged job list is homogeneous in
-        trajectory, misalignment, estimator config, faults, motion
-        flag and vibration — the lockstep preconditions.
+        Everything that shapes a job *except* its row key (seed and
+        fault chain): requests with equal keys may merge into one
+        lockstep batch, because their merged job list is homogeneous
+        in trajectory, misalignment, estimator config, motion flag and
+        vibration — the lockstep preconditions.  Fault recipes and
+        dropout schedules vary per row.
         """
         return canonical_digest(
             (
                 _GROUP_KEY_VERSION,
                 self.scenario,
-                self.fault,
                 self.misalignment,
                 self.estimator_config,
                 self.fallback_hold,
@@ -136,31 +156,17 @@ class ScenarioRequest:
         )
 
     def jobs(self) -> list[EnsembleJob]:
-        """This request's ensemble jobs, in seed order of ``seeds``.
+        """This request's ensemble jobs, one per row, in seed order.
 
-        Materializes the trajectory and estimator config once and
-        shares them across the jobs (the lockstep engines require
-        identity-shared payloads).  Executing these jobs through any
-        ``"ensemble"`` engine and summarizing is the request's serial
-        oracle semantics.
+        Executing these jobs through any ``"ensemble"`` engine and
+        summarizing is the request's serial oracle semantics.
         """
-        trajectory = self.scenario.build_trajectory()
-        estimator_config = self.effective_estimator_config()
-        faults = self.scenario.faults + self.fault.faults
-        dropout = self.dropout_map()
-        return [
-            EnsembleJob(
-                seed=seed,
-                trajectory=trajectory,
-                misalignment=self.misalignment,
-                estimator_config=estimator_config,
-                moving=self.scenario.moving,
-                acc_dropout_time=dropout.get(seed),
-                faults=faults,
-                vibration=self.scenario.vibration,
-            )
-            for seed in self.seeds
-        ]
+        return scenario_jobs(
+            self.scenario,
+            self.row_keys(),
+            self.misalignment,
+            self.effective_estimator_config(),
+        )
 
 
 @dataclass(frozen=True)
@@ -199,72 +205,53 @@ class ScenarioResult:
 
 def summarize_request(
     request: ScenarioRequest,
-    outcome_by_seed: Mapping[int, tuple | None],
+    outcome_by_row: Mapping[tuple[int, tuple[Fault, ...]], tuple | None],
 ) -> MonteCarloSummary | None:
-    """Regroup a batch's per-seed outcome rows into one request summary.
+    """Regroup a batch's outcome rows into one request summary.
 
-    ``outcome_by_seed`` maps every seed of the merged batch to its
-    outcome row (``None`` = that seed diverged).  Selecting this
-    request's seeds in request order and feeding them to
-    :func:`~repro.analysis.montecarlo.summarize_rows` reproduces, bit
-    for bit, what the serial oracle computes for the request alone:
-    the rows themselves are seed-deterministic, and the fold order is
-    the request's own seed order either way.  Returns ``None`` when
-    every seed diverged.
+    ``outcome_by_row`` maps every row key of the merged batch (see
+    :meth:`ScenarioRequest.row_keys`) to its outcome (``None`` = that
+    run diverged).  Selecting this request's rows in request order and
+    feeding them to :func:`~repro.analysis.montecarlo.summarize_rows`
+    reproduces, bit for bit, what the serial oracle computes for the
+    request alone: each row is determined by its key, and the fold
+    order is the request's own seed order either way.  Returns
+    ``None`` when every seed diverged.
     """
     return summarize_rows(
-        [(seed, outcome_by_seed[seed]) for seed in request.seeds]
+        [
+            (seed, outcome_by_row[seed, chain])
+            for seed, chain in request.row_keys()
+        ]
     )
 
 
 def coalesce_requests(
     requests: Sequence[ScenarioRequest],
-) -> tuple[list[EnsembleJob], list[int], list[int]]:
+) -> tuple[list[EnsembleJob], list[int], list[tuple[int, tuple[Fault, ...]]]]:
     """Merge compatible requests into one lockstep job list.
 
     All ``requests`` must share a :meth:`ScenarioRequest.group_key`
-    (the batcher guarantees it).  Returns ``(jobs, merged, deferred)``:
-    one job per *distinct* seed in first-arrival order, built from a
-    single shared materialization of the group's trajectory and
-    estimator config; ``merged`` and ``deferred`` are request indices.
-    A request is deferred — left for a follow-up batch — when one of
-    its seeds is already merged with a *different* dropout time: the
-    same seed cannot run with two schedules in one lockstep pass.
+    (the batcher guarantees it).  Returns ``(jobs, merged, keys)``:
+    one job per *distinct* row key in first-arrival order, built from
+    a single shared materialization of the group's trajectory and
+    estimator config; ``merged`` lists the request indices the batch
+    serves — every one, since rows that differ in seed or chain never
+    conflict — and ``keys`` holds each job's row key, for
+    :func:`summarize_request`.
     """
     if not requests:
         raise ConfigurationError("need at least one request to coalesce")
     first = requests[0]
-    trajectory = first.scenario.build_trajectory()
-    estimator_config = first.effective_estimator_config()
-    faults = first.scenario.faults + first.fault.faults
-    seen: dict[int, float | None] = {}
-    order: list[int] = []
-    merged: list[int] = []
-    deferred: list[int] = []
-    for index, request in enumerate(requests):
-        dropout = request.dropout_map()
-        if any(
-            seed in seen and seen[seed] != dropout.get(seed)
-            for seed in request.seeds
-        ):
-            deferred.append(index)
-            continue
-        merged.append(index)
-        for seed in request.seeds:
-            if seed not in seen:
-                seen[seed] = dropout.get(seed)
-                order.append(seed)
-    jobs = [
-        EnsembleJob(
-            seed=seed,
-            trajectory=trajectory,
-            misalignment=first.misalignment,
-            estimator_config=estimator_config,
-            moving=first.scenario.moving,
-            acc_dropout_time=seen[seed],
-            faults=faults,
-            vibration=first.scenario.vibration,
+    keys = list(
+        dict.fromkeys(
+            key for request in requests for key in request.row_keys()
         )
-        for seed in order
-    ]
-    return jobs, merged, deferred
+    )
+    jobs = scenario_jobs(
+        first.scenario,
+        keys,
+        first.misalignment,
+        first.effective_estimator_config(),
+    )
+    return jobs, list(range(len(requests))), keys

@@ -10,9 +10,12 @@ through the serial oracle.  The request lifecycle:
    cache (a :class:`~repro.scenarios.cache.CampaignCache`, optionally
    disk-backed); a hit returns immediately without touching compute.
 2. **coalesce** — misses queue in the :class:`~repro.service.batcher.DynamicBatcher`
-   under their compatibility key; a group flushes as one batch at
+   under their compatibility key (scenario, misalignment, estimator
+   tuning — not the fault recipe); a group flushes as one batch at
    ``max_batch_size`` or after ``max_wait``.  A full admission queue
-   rejects with :class:`~repro.errors.ServiceOverloadError`.
+   rejects with :class:`~repro.errors.ServiceOverloadError`.  Every
+   request of a flushed group joins its batch, as one lockstep row
+   per distinct ``(seed, fault chain)``: nothing is deferred.
 3. **execute** — the batch's merged job list runs through the chunked
    lockstep core (:func:`~repro.service.executor.run_jobs_inline`):
    in-process (``workers=0``) on a dedicated dispatch thread recycling
@@ -24,8 +27,8 @@ through the serial oracle.  The request lifecycle:
    back to the serial ensemble oracle, and one whose serial rung fails
    too resolves quarantined — recorded in the metrics, never an
    outage.
-4. **regroup** — the batch's per-seed outcome rows split back into one
-   summary per request (the same
+4. **regroup** — the batch's outcome rows, keyed by ``(seed, fault
+   chain)``, split back into one summary per request (the same
    :func:`~repro.analysis.montecarlo.summarize_rows` every engine
    caller uses), results are cached, futures resolve.
 
@@ -238,7 +241,7 @@ class ScenarioService:
         loop = asyncio.get_running_loop()
         requests = [entry.request for entry in batch]
         try:
-            jobs, merged, deferred = coalesce_requests(requests)
+            jobs, merged, keys = coalesce_requests(requests)
         except Exception as exc:
             for entry in batch:
                 if not entry.future.done():
@@ -251,7 +254,7 @@ class ScenarioService:
             rows, source, attempts, fault = await loop.run_in_executor(
                 self._dispatch, self._run_batch_sync, jobs
             )
-            outcome_by_seed = dict(rows) if rows is not None else {}
+            outcome_by_row = dict(zip(keys, (out for _, out in rows or ())))
             for index in merged:
                 entry = batch[index]
                 if rows is None:
@@ -261,7 +264,7 @@ class ScenarioService:
                     summary = None
                 else:
                     summary = summarize_request(
-                        entry.request, outcome_by_seed
+                        entry.request, outcome_by_row
                     )
                     if self._cache is not None:
                         self._cache.store(entry.request, summary)
@@ -285,10 +288,6 @@ class ScenarioService:
             for index in merged:
                 if not batch[index].future.done():
                     batch[index].future.set_exception(exc)
-        if deferred:
-            # Requests whose dropout schedule conflicted with this
-            # batch on a shared seed run as their own follow-up batch.
-            await self._execute_batch([batch[index] for index in deferred])
 
 
 def execute_requests(

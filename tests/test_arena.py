@@ -8,8 +8,9 @@ outcome row is the same at every chunk size, and the one reduction,
 of the whole ensemble.  These tests pin that claim at the unit level
 (arena buffer reuse, chunk iteration, the row reduction) and end to
 end: model and fast rows compared seed by seed at chunk=1, an uneven
-chunk=2 and chunk=R, and for a faulted campaign cell crossing chunk
-boundaries.
+chunk=2 and chunk=R, for a faulted campaign cell crossing chunk
+boundaries, and for one batch whose rows each carry their own fault
+chain (seeds repeated under different chains).
 """
 
 import numpy as np
@@ -238,6 +239,64 @@ class TestFaultedCampaignCellChunking:
         for chunk_size in (1, 2, 3):
             rows = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
             _assert_rows_equal(rows, oracle, f"chunk_size={chunk_size}")
+
+
+def _mixed_chain_jobs(scenario_name: str) -> list[EnsembleJob]:
+    """Six rows of one scenario, each with its own fault chain."""
+    from repro.experiments.table1 import DEFAULT_MISALIGNMENT
+    from repro.scenarios.campaign import fault_library, scenario_jobs
+    from repro.scenarios.faults import SensorDropout
+    from repro.scenarios.spec import scenario_library
+
+    recipes = fault_library()
+    scenario = scenario_library()[scenario_name]
+    rows = [
+        (5, ()),
+        (5, recipes["acc_dropout_window"].faults),
+        (6, recipes["lossy_burst_skew"].faults),
+        (5, (SensorDropout(sensor="acc", start=30.0),)),
+        (7, recipes["stuck_acc_axis"].faults),
+        (6, ()),
+    ]
+    return scenario_jobs(
+        scenario,
+        rows,
+        DEFAULT_MISALIGNMENT,
+        scenario.build_estimator_config(fallback_hold=True),
+    )
+
+
+@pytest.mark.slow
+class TestMixedChainRows:
+    """One batch, a fault chain per row: rows keyed by index, not seed."""
+
+    @pytest.mark.parametrize("scenario_name", ["static_bench", "highway"])
+    def test_mixed_chains_match_the_oracle_at_every_chunking(
+        self, scenario_name
+    ):
+        jobs = _mixed_chain_jobs(scenario_name)
+        oracle = resolve_engine("ensemble", "model")(jobs, 1)
+        # A seed's rows differ when its chain does.
+        assert not np.array_equal(oracle[0][1][0], oracle[1][1][0])
+        for chunk_size in (1, 2, 6):
+            rows = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
+            _assert_rows_equal(
+                rows, oracle, f"{scenario_name} chunk_size={chunk_size}"
+            )
+
+    def test_one_chain_per_seed(self):
+        from repro.experiments.batch_protocol import run_static_ensemble
+        from repro.scenarios.faults import SensorDropout
+
+        job = _static_jobs(1)[0]
+        cut = SensorDropout(sensor="acc", start=30.0)
+        # A chain count that misses the seeds, or one flat chain.
+        for faults in ([()], [cut, cut]):
+            with pytest.raises(ConfigurationError, match="one fault chain"):
+                run_static_ensemble(
+                    [700, 701], job.misalignment, job.trajectory,
+                    faults=faults,
+                )
 
 
 def test_default_chunk_size_sane():

@@ -194,25 +194,6 @@ class TestMonteCarloDynamicFastEngine:
                 runs=2, duration=110.0, engine="fast", acc_dropout=dropout
             )
 
-    def test_lockstep_engine_rejects_duplicate_seeds(self, short_drive):
-        from repro.engines import resolve_engine
-
-        trajectory = short_drive
-        config = dynamic_estimator_config(0.03)
-        jobs = [
-            EnsembleJob(
-                seed=5,
-                trajectory=trajectory,
-                misalignment=MISALIGNMENT,
-                estimator_config=config,
-                moving=True,
-                acc_dropout_time=dropout,
-            )
-            for dropout in (10.0, None)
-        ]
-        with pytest.raises(ConfigurationError, match="distinct seeds"):
-            resolve_engine("ensemble", "fast")(jobs, workers=1)
-
     def test_job_payload_is_typed_and_picklable(self):
         import pickle
 
@@ -222,12 +203,12 @@ class TestMonteCarloDynamicFastEngine:
             misalignment=MISALIGNMENT,
             estimator_config=dynamic_estimator_config(0.03),
             moving=True,
-            acc_dropout_time=12.5,
+            faults=(SensorDropout(sensor="acc", start=12.5),),
         )
         clone = pickle.loads(pickle.dumps(job))
         assert clone.seed == job.seed
         assert clone.moving is True
-        assert clone.acc_dropout_time == 12.5
+        assert clone.faults == (SensorDropout(sensor="acc", start=12.5),)
 
 
 class TestSerialDropout:
@@ -412,7 +393,7 @@ class TestMaskedFilterPrimitives:
             MISALIGNMENT,
             short_drive,
             estimator_config=dynamic_estimator_config(0.03),
-            acc_dropout={101: 60.0},
+            faults=[(), (SensorDropout(sensor="acc", start=60.0),), ()],
         )
         assert ensemble.diverged_seeds == (101,)
         diverged = ensemble.result.diverged

@@ -237,6 +237,21 @@ class TestRegistryMechanics:
         ]
         assert offenders == []
 
+    def test_one_job_shape(self):
+        # A job's fault chain is the whole per-row fault state: no
+        # dropout side field, and every job is built in one function.
+        sources = {
+            str(path.relative_to(SRC)): path.read_text()
+            for path in sorted(SRC.rglob("*.py"))
+        }
+        assert [
+            p for p, text in sources.items() if "acc_dropout_time" in text
+        ] == []
+        assert [
+            p for p, text in sources.items() if "EnsembleJob(" in text
+        ] == ["scenarios/campaign.py"]
+        assert sources["scenarios/campaign.py"].count("EnsembleJob(") == 1
+
     def test_divergence_is_reported_in_one_place(self):
         # Every summary comes from summarize_rows; only execute() turns
         # "every seed diverged" into an error, and no code recovers

@@ -190,6 +190,22 @@ class TestFaultMechanics:
             apply_faults(("not a fault",), _streams(), 1)
         with pytest.raises(ConfigurationError):
             RigConfig(faults=(object(),))
+        # NaN fails every check instead of slipping past it (it would
+        # inject nothing, or NaN the whole stream).
+        nan = float("nan")
+        for build in (
+            lambda: SensorDropout(start=nan),
+            lambda: SensorDropout(start=1.0, duration=nan),
+            lambda: SensorDropout(jitter=nan),
+            lambda: StuckAxis(start=nan),
+            lambda: SaturatedAxis(level=nan),
+            lambda: CanBusErrorStorm(start=nan),
+            lambda: LossyLinkBurst(duration=nan),
+            lambda: ClockSkew(jitter_ppm=nan),
+            lambda: DriftRamp(start=nan),
+        ):
+            with pytest.raises(ConfigurationError):
+                build()
 
     def test_apply_order_matters(self):
         ramp = DriftRamp(sensor="acc", rate=0.5, start=0.0)

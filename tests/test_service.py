@@ -4,9 +4,9 @@ The tentpole contracts of :mod:`repro.service`:
 
 1. **Bit-identity under coalescing** — N concurrent requests, merged
    into lockstep batches however the batcher groups them (shared
-   seeds, overlapping dropout schedules, multiple compatibility
-   groups), each receive a summary equal to running that request
-   *alone* through the serial one-at-a-time oracle.
+   seeds, overlapping dropout schedules, mixed fault recipes, multiple
+   compatibility groups), each receive a summary equal to running
+   that request *alone* through the serial one-at-a-time oracle.
 2. **Backpressure** — a full admission queue rejects with the typed
    :class:`~repro.errors.ServiceOverloadError`; already-admitted
    requests still complete.
@@ -67,7 +67,7 @@ DROPOUT_FAULT = FaultSpec(
 
 
 def _mixed_requests(base: int = 300) -> list[ScenarioRequest]:
-    """Three compatibility groups with overlapping seeds inside them."""
+    """Two compatibility groups with overlapping seeds and mixed chains."""
     return [
         ScenarioRequest(scenario=BENCH, seeds=(base, base + 1)),
         ScenarioRequest(scenario=BENCH, seeds=(base + 1, base + 2)),
@@ -86,6 +86,11 @@ def _mixed_requests(base: int = 300) -> list[ScenarioRequest]:
 
 def _oracle(requests):
     return resolve_engine("service", "model")(list(requests), 1)
+
+
+@pytest.fixture(scope="module")
+def mixed_oracle():
+    return _oracle(_mixed_requests())
 
 
 def _kill_when_spawned(pool):
@@ -140,6 +145,13 @@ class TestRequestContract:
                 seeds=(1, 2),
                 acc_dropout=((1, 10.0), (1, 20.0)),
             )
+        # The dropout's own checks run at construction, so a bad time
+        # never reaches (and quarantines) a shared batch.
+        for time in (-5.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="start must be"):
+                ScenarioRequest(
+                    scenario=BENCH, seeds=(3,), acc_dropout=((3, time),)
+                )
 
     def test_misalignment_defaults_to_campaign_default(self):
         from repro.experiments.table1 import DEFAULT_MISALIGNMENT
@@ -147,18 +159,36 @@ class TestRequestContract:
         request = ScenarioRequest(scenario=BENCH, seeds=(1,))
         assert request.misalignment == DEFAULT_MISALIGNMENT
 
-    def test_group_key_ignores_seeds_and_dropout_only(self):
+    def test_group_key_ignores_seeds_and_fault_chains(self):
         a = ScenarioRequest(scenario=BENCH, seeds=(1, 2))
-        b = ScenarioRequest(
-            scenario=BENCH, seeds=(7,), acc_dropout=((7, 5.0),)
-        )
-        assert a.group_key() == b.group_key()
+        for same in (
+            ScenarioRequest(
+                scenario=BENCH, seeds=(7,), acc_dropout=((7, 5.0),)
+            ),
+            ScenarioRequest(scenario=BENCH, seeds=(1,), fault=DROPOUT_FAULT),
+        ):
+            assert a.group_key() == same.group_key()
         for other in (
             ScenarioRequest(scenario=DRIVE, seeds=(1,)),
-            ScenarioRequest(scenario=BENCH, seeds=(1,), fault=DROPOUT_FAULT),
             ScenarioRequest(scenario=BENCH, seeds=(1,), fallback_hold=True),
         ):
             assert a.group_key() != other.group_key()
+
+    def test_row_keys_chain_scenario_recipe_then_dropout(self):
+        cut = SensorDropout(sensor="acc", start=30.0)
+        request = ScenarioRequest(
+            scenario=DRIVE,
+            seeds=(2, 1),
+            fault=DROPOUT_FAULT,
+            acc_dropout=((1, 30.0),),
+        )
+        assert request.row_keys() == [
+            (2, DROPOUT_FAULT.faults),
+            (1, DROPOUT_FAULT.faults + (cut,)),
+        ]
+        assert [(job.seed, job.faults) for job in request.jobs()] == (
+            request.row_keys()
+        )
 
     def test_jobs_share_one_materialization(self):
         request = ScenarioRequest(scenario=BENCH, seeds=(1, 2, 3))
@@ -176,10 +206,10 @@ class TestCoalescing:
             ScenarioRequest(scenario=BENCH, seeds=(1, 2)),
             ScenarioRequest(scenario=BENCH, seeds=(2, 3)),
         ]
-        jobs, merged, deferred = coalesce_requests(requests)
+        jobs, merged, keys = coalesce_requests(requests)
         assert [job.seed for job in jobs] == [1, 2, 3]
         assert merged == [0, 1]
-        assert deferred == []
+        assert keys == [(job.seed, job.faults) for job in jobs]
         assert all(job.trajectory is jobs[0].trajectory for job in jobs)
 
     def test_agreeing_dropout_schedules_merge(self):
@@ -191,13 +221,15 @@ class TestCoalescing:
                 scenario=DRIVE, seeds=(1, 3), acc_dropout=((1, 30.0),)
             ),
         ]
-        jobs, merged, deferred = coalesce_requests(requests)
+        jobs, merged, keys = coalesce_requests(requests)
         assert merged == [0, 1]
-        assert deferred == []
-        by_seed = {job.seed: job.acc_dropout_time for job in jobs}
-        assert by_seed == {1: 30.0, 2: None, 3: None}
+        cut = (SensorDropout(sensor="acc", start=30.0),)
+        assert keys == [(1, cut), (2, ()), (3, ())]
+        assert [(job.seed, job.faults) for job in jobs] == keys
 
-    def test_conflicting_dropout_defers(self):
+    def test_conflicting_chains_become_separate_rows(self):
+        # Nothing defers: the same seed under another dropout time or
+        # another recipe is another row of the same batch.
         requests = [
             ScenarioRequest(
                 scenario=DRIVE, seeds=(1, 2), acc_dropout=((1, 30.0),)
@@ -206,15 +238,22 @@ class TestCoalescing:
                 scenario=DRIVE, seeds=(1,), acc_dropout=((1, 55.0),)
             ),
             ScenarioRequest(scenario=DRIVE, seeds=(4,)),
+            ScenarioRequest(scenario=DRIVE, seeds=(1,), fault=DROPOUT_FAULT),
         ]
-        jobs, merged, deferred = coalesce_requests(requests)
-        assert merged == [0, 2]
-        assert deferred == [1]
-        assert [job.seed for job in jobs] == [1, 2, 4]
+        jobs, merged, keys = coalesce_requests(requests)
+        assert merged == [0, 1, 2, 3]
+        assert keys == [
+            (1, (SensorDropout(sensor="acc", start=30.0),)),
+            (2, ()),
+            (1, (SensorDropout(sensor="acc", start=55.0),)),
+            (4, ()),
+            (1, DROPOUT_FAULT.faults),
+        ]
+        assert [(job.seed, job.faults) for job in jobs] == keys
 
     def test_summarize_request_regroups_per_request(self):
         # Synthetic rows: summarize_request must select this request's
-        # seeds in request order and mask the diverged ones.
+        # rows in request order and mask the diverged ones.
         import numpy as np
 
         row = lambda v: (  # noqa: E731 - tiny local factory
@@ -224,21 +263,36 @@ class TestCoalescing:
             0,
             np.array([1.0, 1.0]),
         )
-        outcome_by_seed = {1: row(0.1), 2: None, 3: row(0.3)}
+        cut = (SensorDropout(sensor="acc", start=60.0),)
+        outcome_by_row = {
+            (1, ()): row(0.1),
+            (2, ()): None,
+            (3, ()): row(0.3),
+            (1, cut): None,
+        }
         request = ScenarioRequest(scenario=BENCH, seeds=(3, 2, 1))
-        summary = summarize_request(request, outcome_by_seed)
+        summary = summarize_request(request, outcome_by_row)
         assert summary.runs == 2
         assert summary.diverged_seeds == (2,)
+        # The same seed under another chain reads another row.
+        cut_request = ScenarioRequest(
+            scenario=BENCH, seeds=(3, 1), acc_dropout=((1, 60.0),)
+        )
+        cut_summary = summarize_request(cut_request, outcome_by_row)
+        assert cut_summary.runs == 1
+        assert cut_summary.diverged_seeds == (1,)
         all_dead = summarize_request(
-            ScenarioRequest(scenario=BENCH, seeds=(2,)), outcome_by_seed
+            ScenarioRequest(scenario=BENCH, seeds=(2,)), outcome_by_row
         )
         assert all_dead is None
 
 
 class TestServiceBitIdentity:
-    def test_concurrent_requests_identical_to_isolated_serial(self):
+    def test_concurrent_requests_identical_to_isolated_serial(
+        self, mixed_oracle
+    ):
         requests = _mixed_requests()
-        oracle = _oracle(requests)
+        oracle = mixed_oracle
         cache = CampaignCache()
         service = ScenarioService(
             workers=0, max_batch_size=16, max_wait=0.01, cache=cache
@@ -248,8 +302,8 @@ class TestServiceBitIdentity:
         assert [r.request for r in results] == requests
         for reference, result in zip(oracle, results):
             assert result.summary == reference
-        # Compatible requests really shared batches: three groups (and
-        # one deferred conflict batch) served six requests.
+        # Compatible requests really shared batches: two groups served
+        # six requests.
         assert service.metrics.batches < len(requests)
         snapshot = service.snapshot()
         assert snapshot["batch_occupancy"] > 1.0
@@ -257,6 +311,38 @@ class TestServiceBitIdentity:
         assert snapshot["latency_p99_seconds"] >= snapshot[
             "latency_p50_seconds"
         ]
+
+    def test_fault_recipes_share_their_group_batch(self, mixed_oracle):
+        # Rows carry their own fault chains, so the dropout recipe and
+        # the scheduled dropout join their scenario's batch: one batch
+        # per scenario, one row per distinct (seed, chain) — five
+        # bench rows and four drive rows.
+        service = ScenarioService(workers=0, max_batch_size=16, max_wait=0.01)
+        with service:
+            results = execute_requests(_mixed_requests(), service=service)
+        assert service.metrics.batches == 2
+        assert service.metrics.batched_jobs == 9
+        assert [r.source for r in results] == ["coalesced"] * 6
+        assert [r.batch_size for r in results] == [4, 4, 4, 4, 2, 2]
+        for reference, result in zip(mixed_oracle, results):
+            assert result.summary == reference
+
+    def test_dropout_request_completes_beside_a_plain_one(self):
+        # A dropout-scheduled request and a plain one of the same group
+        # run as one batch, and both complete at their first attempt
+        # (an invalid dropout time is refused at construction, see
+        # TestRequestContract, so it cannot quarantine the batch).
+        requests = [
+            ScenarioRequest(scenario=BENCH, seeds=(1, 2)),
+            ScenarioRequest(
+                scenario=BENCH, seeds=(3,), acc_dropout=((3, 50.0),)
+            ),
+        ]
+        results = execute_requests(requests)
+        assert [r.source for r in results] == ["coalesced"] * 2
+        assert [r.attempts for r in results] == [1, 1]
+        assert [r.batch_size for r in results] == [2, 2]
+        assert [r.summary for r in results] == _oracle(requests)
 
     def test_warm_cache_serves_repeats_without_compute(self):
         requests = _mixed_requests()
