@@ -12,7 +12,7 @@ the full sweep otherwise:
   sampling and batches every noise chain, so double digits is the
   *floor*, not the target;
 - **memory** — peak RSS grows sub-linearly in R *past the chunk
-  size*.  Below ``DEFAULT_CHUNK_SIZE`` the whole ensemble is one live
+  size*.  Below ``CHUNK_SIZE`` the whole ensemble is one live
   chunk and memory is linear by design; beyond it the arena recycles,
   so a 32x jump in R (512 -> 16384 in the full sweep) must cost far
   less than 32x the resident set (ceiling: 2x past the chunk point,
@@ -62,9 +62,9 @@ def test_scaling_identity_speedup_and_memory(once):
     rss = [point["peak_rss_bytes"] for point in series]
     if all(rss):  # /proc/self/status unavailable -> all zero, skip
         assert max(rss) <= MAX_RSS_BYTES
-        from repro.experiments.arena import DEFAULT_CHUNK_SIZE
+        from repro.experiments.arena import CHUNK_SIZE
 
-        chunked = [p for p in series if p["runs"] >= DEFAULT_CHUNK_SIZE]
+        chunked = [p for p in series if p["runs"] >= CHUNK_SIZE]
         if len(chunked) > 1:  # smoke stops at one chunk; full sweeps gate
             base = chunked[0]["peak_rss_bytes"]
             worst = max(p["peak_rss_bytes"] for p in chunked)

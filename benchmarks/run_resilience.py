@@ -11,10 +11,15 @@ numbers, persisted to ``BENCH_resilience.json`` at the repo root::
    clean-path cost a caller still opts into is the journal (an
    fsync'd ``started`` and ``completed`` record per cell).  The same
    campaign grid runs without and with ``journal=`` (a fresh journal
-   per round).  The overhead must stay within a few percent or nobody
-   arms crash resume; the report's ``speedup`` is
-   ``plain_seconds / journaled_seconds`` (~1.0) and the gate floors
-   it at 0.95 (<= ~5% overhead).  Both runs must be bit-identical —
+   per round), once per side in each of ``rounds`` (>= 9) rounds,
+   alternating which side runs first.  The overhead must stay within
+   a few percent or nobody arms crash resume; the report's
+   ``speedup`` is the median of the per-round paired ratios
+   ``plain / journaled`` (~1.0, with ``min_ratio`` and ``max_ratio``
+   beside it) and the gate floors it at 0.95 (<= ~5% overhead).  A
+   median of paired ratios, rather than a best-of-N per side, is what
+   keeps second-long runs on a busy machine from reading a few
+   percent of noise as overhead.  Both runs must be bit-identical —
    journaling may never perturb results.
 
 2. **What does crash recovery cost?**  A campaign is simulated to die
@@ -29,6 +34,7 @@ numbers, persisted to ``BENCH_resilience.json`` at the repo root::
 import itertools
 import os
 import shutil
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -72,34 +78,42 @@ def build_spec(cells: int, seeds_per_cell: int = 2) -> CampaignSpec:
     )
 
 
-def _best_of(rounds: int, *fns):
-    """Best wall-clock of each of ``fns`` (and each one's last value).
+def _paired_rounds(rounds: int, first, second):
+    """Wall-clock of ``first`` and ``second`` per round, and last values.
 
-    The rounds interleave the callables, so a drift in machine speed
-    over the measurement hits every one of them alike.
+    Each round runs both callables back to back, alternating which goes
+    first, so a drift in machine speed hits both sides of a pair alike
+    and neither side always runs on the heels of the other.
     """
-    best = [float("inf")] * len(fns)
-    values = [None] * len(fns)
-    for _ in range(rounds):
-        for index, fn in enumerate(fns):
+    fns = (first, second)
+    seconds = ([], [])
+    values = [None, None]
+    for k in range(rounds):
+        for index in (0, 1) if k % 2 == 0 else (1, 0):
             start = time.perf_counter()
-            values[index] = fn()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best, values
+            values[index] = fns[index]()
+            seconds[index].append(time.perf_counter() - start)
+    return seconds, values
 
 
-def measure_resilience(cells: int = 6, rounds: int = 3) -> dict:
+def measure_resilience(cells: int = 6, rounds: int = 9) -> dict:
     """Clean-path journal overhead and journal-resume recovery, one report."""
     spec = build_spec(cells)
     tmp = Path(tempfile.mkdtemp(prefix="bench_resilience_"))
     try:
+        # Untimed: the process's first campaign integrates the shared
+        # truth, which would otherwise land on round 0's first side.
+        run_campaign(spec)
         # A fresh journal per round: a replayed one would add reads.
         journals = (tmp / f"clean{k}.jsonl" for k in itertools.count())
-        (plain_seconds, journaled_seconds), (plain, journaled) = _best_of(
+        (plain_times, journaled_times), (plain, journaled) = _paired_rounds(
             rounds,
             lambda: run_campaign(spec),
             lambda: run_campaign(spec, journal=next(journals)),
         )
+        ratios = [p / j for p, j in zip(plain_times, journaled_times)]
+        speedup = statistics.median(ratios)
+        journaled_seconds = statistics.median(journaled_times)
         identical = journaled.summaries == plain.summaries
         clean = journaled.resilience
 
@@ -132,10 +146,13 @@ def measure_resilience(cells: int = 6, rounds: int = 3) -> dict:
     return {
         "cells": cells,
         "seeds_per_cell": len(spec.seeds),
-        "plain_seconds": plain_seconds,
+        "rounds": rounds,
+        "plain_seconds": statistics.median(plain_times),
         "journaled_seconds": journaled_seconds,
-        "speedup": plain_seconds / journaled_seconds,
-        "overhead_fraction": journaled_seconds / plain_seconds - 1.0,
+        "speedup": speedup,
+        "min_ratio": min(ratios),
+        "max_ratio": max(ratios),
+        "overhead_fraction": 1.0 / speedup - 1.0,
         "identical": identical,
         "clean_retries": clean.retries,
         "clean_quarantined": clean.quarantined,
@@ -154,7 +171,9 @@ def main() -> None:
     print(
         f"{result['cells']} cells: plain {result['plain_seconds']:.2f}s, "
         f"journaled {result['journaled_seconds']:.2f}s "
-        f"(overhead {result['overhead_fraction']*100:+.1f}%), "
+        f"(overhead {result['overhead_fraction']*100:+.1f}%, median of "
+        f"{result['rounds']} paired ratios in {result['min_ratio']:.3f}–"
+        f"{result['max_ratio']:.3f}), "
         f"identical={result['identical']}; resume after "
         f"{result['precompleted_cells']} committed cells "
         f"{result['recovery_seconds']:.2f}s "

@@ -19,7 +19,7 @@ largest R measured.
 
 The *knee* is the R past which throughput stops improving: the point
 with the best runs-per-second.  Past the arena chunk size
-(:data:`~repro.experiments.arena.DEFAULT_CHUNK_SIZE`) memory stays
+(:data:`~repro.experiments.arena.CHUNK_SIZE`) memory stays
 flat — chunks of at most 512 runs stream through one reused arena —
 so peak RSS growth across the sweep must be sub-linear in R, which
 ``benchmarks/bench_scaling.py`` gates.

@@ -15,7 +15,10 @@ They also batch: ``engine="fast"`` advances every run in lockstep over
 stacked arrays (shared trajectory sampling, batched noise and
 vibration chains, a :class:`~repro.fusion.batch_kalman.BatchKalmanFilter`
 with per-run motion gating), bit-identical to the serial engine with
-the same seeds and roughly ``runs`` times faster in one process.
+the same seeds and roughly ``runs`` times faster in one process.  It
+streams the runs in seed blocks of
+:data:`~repro.experiments.arena.CHUNK_SIZE` to bound memory; the block
+size is not a parameter, because no result bit depends on it.
 
 Both engines mask divergence per run: a seed whose filter blows up
 (e.g. under an injected ACC dropout) is reported in
@@ -282,7 +285,6 @@ def run_monte_carlo_static(
     engine: str = "model",
     faults: Sequence[Fault] = (),
     fallback_hold: bool = False,
-    chunk_size: int | None = None,
     cache=None,
 ) -> MonteCarloSummary:
     """Repeat the static protocol across seeds and aggregate.
@@ -314,11 +316,9 @@ def run_monte_carlo_static(
 
     This is a thin shim over :func:`repro.api.execute` — the ensemble
     is phrased as a :class:`~repro.service.requests.ScenarioRequest`
-    and executed through the façade, so the uniform knobs apply:
-    ``chunk_size`` streams the seeds in blocks (chunk-accepting
-    engines only) and ``cache`` (a
-    :class:`~repro.scenarios.cache.CampaignCache`) serves bit-exact
-    repeats without recomputing.  Dispatch runs through the
+    and executed through the façade, so the uniform ``cache`` knob
+    applies: a :class:`~repro.scenarios.cache.CampaignCache` serves
+    bit-exact repeats without recomputing.  Dispatch runs through the
     ``"ensemble"`` domain of :mod:`repro.engines`; any further
     registered backend is selectable by name.
     """
@@ -352,7 +352,6 @@ def run_monte_carlo_static(
         request,
         engine=engine,
         workers=workers,
-        chunk_size=chunk_size,
         cache=cache,
     ).summary
 
@@ -372,7 +371,6 @@ def run_monte_carlo_dynamic(
     faults: Sequence[Fault] = (),
     fallback_hold: bool = False,
     vibration: VibrationSpec | None = None,
-    chunk_size: int | None = None,
     cache=None,
 ) -> MonteCarloSummary:
     """Repeat the dynamic (driving) protocol across seeds and aggregate.
@@ -407,8 +405,7 @@ def run_monte_carlo_dynamic(
     vibration environment (rough-road scenarios).
 
     Like :func:`run_monte_carlo_static`, this is a thin shim over
-    :func:`repro.api.execute` with the uniform ``chunk_size`` and
-    ``cache`` knobs.
+    :func:`repro.api.execute` with the uniform ``cache`` knob.
     """
     # Imported lazily: repro.api sits on top of this module.
     from repro.api import execute
@@ -452,6 +449,5 @@ def run_monte_carlo_dynamic(
         request,
         engine=engine,
         workers=workers,
-        chunk_size=chunk_size,
         cache=cache,
     ).summary

@@ -20,10 +20,14 @@ Every request type takes one path through :func:`execute`: the knobs
 are checked once, against the chosen engine's registration flags and
 before any work, then the cache is consulted, the engine runs, the
 result is stored and the result record built.  The knobs are uniform
-across request types — and across the legacy entry points (:func:`~repro.analysis.montecarlo.run_monte_carlo_static`,
+across request types — and across the legacy entry points
+(:func:`~repro.analysis.montecarlo.run_monte_carlo_static`,
 :func:`~repro.analysis.montecarlo.run_monte_carlo_dynamic`,
 :func:`~repro.scenarios.campaign.run_campaign`), which are now thin
-shims over this module:
+shims over this module.  The seed-block size is not one of them: the
+lockstep core streams seeds in blocks of
+:data:`~repro.experiments.arena.CHUNK_SIZE`, which no result bit
+depends on.
 
 ``engine``
     A registry name for the request's domain, or ``"auto"`` (the
@@ -34,9 +38,6 @@ shims over this module:
     (:class:`~repro.resilience.pool.WorkerPool`); engines flagged
     ``single_process`` reject ``workers != 1`` *before* any
     trajectory, pool or journal file exists.
-``chunk_size``
-    Seed-block size for engines flagged ``accepts_chunk_size``; any
-    other engine rejects a non-``None`` value, again before compute.
 ``cache``
     A :class:`~repro.scenarios.cache.CampaignCache` consulted before
     executing and updated after — scenario and firmware requests are
@@ -101,7 +102,7 @@ _ROUTES = {
 }
 
 
-def _check(request, engine, workers, chunk_size, supervisor, journal):
+def _check(request, engine, workers, supervisor, journal):
     """Resolve the engine and validate every knob against its flags.
 
     The one check :func:`execute` makes, before any trajectory, pool
@@ -126,16 +127,6 @@ def _check(request, engine, workers, chunk_size, supervisor, journal):
             f"engine={engine!r} is single-process: it runs in one "
             f"process, so use workers=1 ({parallel_hint})"
         )
-    if chunk_size is not None:
-        if not getattr(impl, "accepts_chunk_size", False):
-            raise ConfigurationError(
-                f"engine={engine!r} does not take a chunk_size; seed-block "
-                "streaming belongs to the lockstep engines (engine='fast')"
-            )
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
     if domain != "campaign" and (supervisor is not None or journal is not None):
         raise ConfigurationError(
             f"{type(request).__name__} does not take supervisor/journal; "
@@ -150,7 +141,6 @@ def execute(
     *,
     engine: str = "auto",
     workers: int = 1,
-    chunk_size: int | None = None,
     cache: CampaignCache | None = None,
     supervisor=None,
     journal=None,
@@ -176,14 +166,13 @@ def execute(
     crash-resumable write-ahead record; the other request types
     reject both, like every knob an engine cannot honor.
     """
-    engine, impl = _check(request, engine, workers, chunk_size, supervisor, journal)
+    engine, impl = _check(request, engine, workers, supervisor, journal)
     if isinstance(request, CampaignSpec):
         cells = request.cells()
         summaries, statuses, faults, report = _run_cells_supervised(
             cells,
             engine=engine,
             workers=workers,
-            chunk_size=chunk_size,
             supervisor=supervisor,
             journal=journal,
             cache=cache,
@@ -200,8 +189,7 @@ def execute(
     hit, value = (False, None) if cache is None else cache.lookup(request)
     if not hit:
         if isinstance(request, ScenarioRequest):
-            knobs = {} if chunk_size is None else {"chunk_size": chunk_size}
-            value = summarize_rows(impl(request.jobs(), workers, **knobs))
+            value = summarize_rows(impl(request.jobs(), workers))
         else:
             value = impl(request)
     if value is None and isinstance(request, ScenarioRequest):

@@ -441,9 +441,7 @@ def _probe_softfloat_fast(seed: int) -> dict:
 
 
 def _ensemble_probe(name: str):
-    # ``chunk_size`` lets the harness push the fast probe across arena
-    # chunk boundaries (chunk_size=1: one seed per chunk).
-    def probe(seed: int, chunk_size: int | None = None) -> dict:
+    def probe(seed: int) -> dict:
         from repro.analysis.montecarlo import run_monte_carlo_static
 
         summary = run_monte_carlo_static(
@@ -453,7 +451,6 @@ def _ensemble_probe(name: str):
             dwell_time=6.0,
             slew_time=2.0,
             engine=name,
-            chunk_size=chunk_size,
         )
         return {
             "runs": summary.runs,

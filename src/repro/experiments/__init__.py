@@ -12,11 +12,7 @@ One module per artifact (see DESIGN.md §4 for the experiment index):
   resolution sweep, arithmetic-backend sweep.
 """
 
-from repro.experiments.arena import (
-    DEFAULT_CHUNK_SIZE,
-    StateArena,
-    iter_chunks,
-)
+from repro.experiments.arena import StateArena
 from repro.experiments.batch_protocol import (
     DynamicEnsemble,
     LockstepEnsemble,
@@ -33,9 +29,7 @@ from repro.experiments.table1 import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
     "StateArena",
-    "iter_chunks",
     "BoresightTestRig",
     "RigConfig",
     "TestRun",

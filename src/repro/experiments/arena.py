@@ -12,21 +12,24 @@ Two pieces the whole batch execution path now rides on:
 
 :func:`iter_job_outcomes`
     Streams an arbitrary job list through the lockstep engine in
-    seed-block chunks, recycling one arena across chunks and yielding
-    each job's ``(seed, outcome | None)`` row before the next chunk
-    overwrites the scratch.  The ``"ensemble"`` fast engine and the
-    scenario service both run on it; the rows are reduced afterwards,
-    all at once, by :func:`~repro.analysis.montecarlo.summarize_rows`.
+    seed blocks of :data:`CHUNK_SIZE`, recycling one arena across
+    blocks and yielding each job's ``(seed, outcome | None)`` row
+    before the next block overwrites the scratch.  The ``"ensemble"``
+    fast engine and the scenario service both run on it; the rows are
+    reduced afterwards, all at once, by
+    :func:`~repro.analysis.montecarlo.summarize_rows`.
 
 Chunking is bit-identical to the monolithic whole-``R`` run at every
-chunk size **by construction**: each seed's RNG tree is independent
+block size **by construction**: each seed's RNG tree is independent
 (:mod:`repro.rng` spawns per-seed children), so partitioning the job
 list only partitions which seeds share a stacked array — no draw
-order, no elementwise expression and no reduction changes.  The
-engine-registry harness therefore pins the chunked path against the
-serial oracle for free, and ``tests/test_arena.py`` compares the rows
-seed by seed at explicit chunk sizes (including ``R`` not divisible
-by the chunk).
+order, no elementwise expression and no reduction changes.  That is
+why the block size is this module's constant, not a caller's knob.
+The engine-registry harness pins the chunked path against the serial
+oracle at one seed per block, and ``tests/test_arena.py`` compares
+the rows seed by seed at blocks of 1, 2 (``R`` not divisible by the
+block) and ``R``; both patch :data:`CHUNK_SIZE`, which
+:func:`iter_job_outcomes` reads at call time.
 
 Buffer-lifetime rule: a view returned by :meth:`StateArena.take` is
 valid until the *next* ``take`` of the same slot name — i.e. for one
@@ -44,12 +47,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Seed-block size the lockstep engines stream by when the caller
-#: doesn't pick one.  Large enough that the per-chunk Python glue
-#: (stream, calibration and estimator setup) amortizes to noise,
-#: small enough that the working set stays a few GB at the default
-#: protocol lengths regardless of total R.
-DEFAULT_CHUNK_SIZE = 512
+#: Seed-block size the lockstep engines stream by.  Large enough that
+#: the per-block Python glue (stream, calibration and estimator setup)
+#: amortizes to noise, small enough that the working set stays a few
+#: GB at the default protocol lengths regardless of total R.
+CHUNK_SIZE = 512
 
 
 class StateArena:
@@ -108,37 +110,21 @@ class StateArena:
         return tuple(sorted(self._slots))
 
 
-def iter_chunks(
-    items: Sequence, chunk_size: int
-) -> Iterator[list]:
-    """Partition ``items`` into order-preserving blocks of ``chunk_size``.
-
-    The last block is short when ``len(items)`` is not a multiple of
-    ``chunk_size``.
-    """
-    if chunk_size < 1:
-        raise ConfigurationError(
-            f"chunk_size must be >= 1, got {chunk_size}"
-        )
-    for start in range(0, len(items), chunk_size):
-        yield list(items[start : start + chunk_size])
-
-
 def iter_job_outcomes(
     jobs: Sequence,
-    chunk_size: int | None = None,
     arena: StateArena | None = None,
 ) -> Iterator[tuple[int, tuple | None]]:
-    """Yield ``(seed, outcome)`` per job, in job order, chunk by chunk.
+    """Yield ``(seed, outcome)`` per job, in job order, block by block.
 
-    The per-job view of the chunked lockstep core: each seed-block
-    chunk runs as one stacked ensemble drawing its ``(R_chunk, …)``
-    scratch from ``arena`` and its truth from the per-process
-    :func:`~repro.vehicle.trajectory.shared_sample` memo (chunks do not
+    The per-job view of the chunked lockstep core: each block of
+    :data:`CHUNK_SIZE` jobs (read when iteration starts) runs as one
+    stacked ensemble drawing its ``(R_chunk, …)`` scratch from
+    ``arena`` and its truth from the per-process
+    :func:`~repro.vehicle.trajectory.shared_sample` memo (blocks do not
     resample it), and every job's per-run outcome row — the
     exact ``(error_deg, covered, exceedance, hold_ticks,
     three_sigma_deg)`` tuple the serial oracle's ``_run_job`` produces,
-    bit for bit — is yielded before the next chunk overwrites the
+    bit for bit — is yielded before the next block overwrites the
     scratch.  A diverged run yields ``(seed, None)``, mirroring the
     serial engine's masking.
 
@@ -159,16 +145,11 @@ def iter_job_outcomes(
 
     if not jobs:
         raise ConfigurationError("need at least one job")
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    if chunk_size < 1:
-        raise ConfigurationError(
-            f"chunk_size must be >= 1, got {chunk_size}"
-        )
     if arena is None:
         arena = StateArena()
-    for chunk in iter_chunks(jobs, chunk_size):
-        ensemble = _ensemble_for_jobs(chunk, arena=arena)
+    size = CHUNK_SIZE
+    for start in range(0, len(jobs), size):
+        ensemble = _ensemble_for_jobs(jobs[start : start + size], arena=arena)
         rows = iter(ensemble.outcomes())
         for r, seed in enumerate(ensemble.seeds):
             if ensemble.result.diverged[r]:

@@ -10,9 +10,9 @@ runs R rigs as:
 
 1. fetch the calibration and test truth through
    :func:`~repro.vehicle.trajectory.shared_sample`, which integrates
-   each (trajectory, rate) pair **once per process** — every chunk,
-   campaign cell and service batch in the process reads the same
-   read-only arrays;
+   each (trajectory, rate) pair **once per process** — every seed
+   block, campaign cell and service batch in the process reads the
+   same read-only arrays;
 2. draw every rig's noise streams per seed (bit-identical RNG order,
    see :mod:`repro.sensors.batch`) and, for moving tests, synthesize
    every rig's vibration fields
@@ -20,6 +20,10 @@ runs R rigs as:
 3. sense, calibrate, reconstruct and filter all R runs in lockstep,
    with per-run motion gating and divergence masking inside
    :class:`~repro.fusion.batch_boresight.BatchBoresightEstimator`.
+
+:func:`run_lockstep_jobs` feeds the ensemble one seed block at a time
+(:func:`~repro.experiments.arena.iter_job_outcomes`, blocks of
+:data:`~repro.experiments.arena.CHUNK_SIZE`).
 
 Each run's outputs are bit-identical to the serial rig's — the serial
 path stays the verification oracle (``tests/test_batch_kalman.py`` and
@@ -315,17 +319,17 @@ def _ensemble_for_jobs(jobs, arena: StateArena | None = None):
     "fast",
     description="seed-block chunks advanced in lockstep over one arena",
 )
-def run_lockstep_jobs(jobs, workers: int = 1, chunk_size: int | None = None):
+def run_lockstep_jobs(jobs, workers: int = 1):
     """The ``"ensemble"`` domain contract over the lockstep engine.
 
     Takes the same typed :class:`~repro.analysis.montecarlo.EnsembleJob`
     list as the serial oracle and returns the bit-identical
     ``(seed, outcome | None)`` rows, in job order.  Jobs run in
-    lockstep seed-block chunks of ``chunk_size`` (default
-    :data:`~repro.experiments.arena.DEFAULT_CHUNK_SIZE`) over one
-    reused :class:`~repro.experiments.arena.StateArena`, so arbitrary
-    R streams through bounded memory; chunking only partitions the
-    job list, so the rows are bit-identical at every chunk size.
+    lockstep seed blocks of :data:`~repro.experiments.arena.CHUNK_SIZE`
+    over one reused :class:`~repro.experiments.arena.StateArena`, so
+    arbitrary R streams through bounded memory; blocking only
+    partitions the job list, so the rows are bit-identical at every
+    block size.
     The jobs must share one trajectory, misalignment and estimator
     config object, one ``moving`` flag and one vibration environment,
     and run single-process (``workers`` must be 1).  Seeds and fault
@@ -354,15 +358,13 @@ def run_lockstep_jobs(jobs, workers: int = 1, chunk_size: int | None = None):
                 "one moving flag and one vibration set (only seeds and "
                 "fault chains vary)"
             )
-    return list(iter_job_outcomes(jobs, chunk_size=chunk_size))
+    return list(iter_job_outcomes(jobs))
 
 
 #: Dispatchers check this before building the (expensive) job list so
 #: an engine/workers mismatch fails fast; the in-engine check above
 #: still guards direct callers.
 run_lockstep_jobs.single_process = True
-#: Dispatchers may forward a ``chunk_size`` keyword to this engine.
-run_lockstep_jobs.accepts_chunk_size = True
 
 
 def run_static_ensemble(

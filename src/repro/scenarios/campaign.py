@@ -16,7 +16,9 @@ quarantine, optional write-ahead journal):
 - ``"model"`` — the oracle: every cell runs through the serial
   per-seed ensemble oracle, in grid order, one process;
 - ``"fast"`` — every cell runs through the lockstep ensemble engine
-  and, with ``workers > 1``, the *cells* spread over a worker pool
+  (its seeds streamed in the arena's fixed seed blocks,
+  :data:`~repro.experiments.arena.CHUNK_SIZE`) and, with
+  ``workers > 1``, the *cells* spread over a worker pool
   built by ``Supervisor.pool_factory``, refilled as each cell finishes
   (each cell stays single-process lockstep inside its worker).
   Bit-identical to ``"model"`` cell by cell, because the underlying
@@ -243,6 +245,8 @@ class ResilienceReport:
     retries: int = 0
     #: Cell attempts that died on the per-cell deadline.
     timeouts: int = 0
+    #: Cell attempts lost to a broken worker pool (a killed worker).
+    pool_failures: int = 0
     #: Cells recorded with a fault string after exhausting retries.
     quarantined: int = 0
     #: Cells rehydrated from the journal + cache instead of re-run.
@@ -326,22 +330,19 @@ class CampaignResult:
         return {"name": self.spec.name, "cells": cells}
 
 
-def _run_cell(
-    cell: CampaignCell,
-    engine: str,
-    chunk_size: int | None = None,
-) -> MonteCarloSummary | None:
+def _run_cell(cell: CampaignCell, engine: str) -> MonteCarloSummary | None:
     """Run one cell through an ``"ensemble"`` engine; None = all diverged."""
-    impl = resolve_engine("ensemble", engine)
-    kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-    return summarize_rows(impl(cell.jobs(), 1, **kwargs))
+    return summarize_rows(resolve_engine("ensemble", engine)(cell.jobs(), 1))
 
 
 def _run_cell_fast(
-    cell: CampaignCell, chunk_size: int | None = None
+    cell: CampaignCell, _unused=None
 ) -> MonteCarloSummary | None:
-    """Module-level pool task (spawn must pickle it by name)."""
-    return _run_cell(cell, "fast", chunk_size=chunk_size)
+    """Module-level pool task (spawn must pickle it by name).
+
+    ``_unused`` takes the second argument perfbench's cell tracer passes.
+    """
+    return _run_cell(cell, "fast")
 
 
 class _CellRun:
@@ -421,6 +422,7 @@ class _CellRun:
         index = self.pending[position]
         self.counts["retries"] += outcome.retries
         self.counts["timeouts"] += outcome.timeouts
+        self.counts["pool_failures"] += outcome.pool_failures
         if not outcome.completed:
             self.statuses[index] = "quarantined"
             self.faults[index] = outcome.fault
@@ -480,31 +482,24 @@ run_campaign_cells_serial.single_process = True
     "fast",
     description="lockstep cells, over a worker pool when workers > 1",
 )
-def run_campaign_cells_sharded(
-    run: _CellRun,
-    workers: int = 1,
-    chunk_size: int | None = None,
-) -> None:
+def run_campaign_cells_sharded(run: _CellRun, workers: int = 1) -> None:
     """Lockstep cells, in process or over ``workers`` pool processes.
 
     Each cell runs the lockstep ensemble engine (single-process, all
-    seeds stacked, streaming ``chunk_size`` seed blocks); ``workers >
-    1`` spreads whole cells over a refilled worker pool that lives for
-    this call, built by ``supervisor.pool_factory``.  Pool tasks go
-    through ``_run_cell_fast``, looked up when the engine runs.
-    Summaries land by cell index regardless of completion order, so
-    the result is identical for any ``workers`` — and for any
-    ``chunk_size``, by the chunked core's bit-identity contract.
+    seeds stacked, streamed in seed blocks); ``workers > 1`` spreads
+    whole cells over a refilled worker pool that lives for this call,
+    built by ``supervisor.pool_factory``.  Pool tasks go through
+    ``_run_cell_fast``, looked up when the engine runs.  Summaries
+    land by cell index regardless of completion order, so the result
+    is identical for any ``workers``.
     """
     cells = run.pending_cells
     if workers > 1 and len(cells) > 1:
         pool = run.supervisor.pool_factory(min(workers, len(cells)))
-        task = functools.partial(_run_cell_fast, chunk_size=chunk_size)
+        task = _run_cell_fast
     else:
         pool = None
-        task = functools.partial(
-            run.cell_runner, engine="fast", chunk_size=chunk_size
-        )
+        task = functools.partial(run.cell_runner, engine="fast")
     try:
         run.supervisor.map(
             task, cells, pool=pool, on_start=run.start, on_settle=run.settle
@@ -514,15 +509,11 @@ def run_campaign_cells_sharded(
             pool.shutdown()
 
 
-run_campaign_cells_sharded.accepts_chunk_size = True
-
-
 def _run_cells_supervised(
     cells: list[CampaignCell],
     *,
     engine: str = "fast",
     workers: int = 1,
-    chunk_size: int | None = None,
     supervisor: Supervisor | None = None,
     journal=None,
     cache: CampaignCache | None = None,
@@ -532,7 +523,7 @@ def _run_cells_supervised(
 
     Returns ``(summaries, statuses, faults, report)`` — what
     :func:`repro.api.execute` builds a :class:`CampaignResult` from,
-    after it has validated ``engine``/``workers``/``chunk_size``.
+    after it has validated ``engine`` and ``workers``.
     Semantics:
 
     - ``supervisor`` defaults to ``Supervisor()`` (no deadline, three
@@ -546,8 +537,8 @@ def _run_cells_supervised(
       from the cache and re-running only in-flight ones;
     - cells run through :meth:`Supervisor.map`: in process one at a
       time (watchdog deadline, backoff, quarantine), where
-      ``cell_runner`` swaps the per-cell callable ``(cell, engine=,
-      chunk_size=)`` — the in-process chaos hook; or, on the fast
+      ``cell_runner`` swaps the per-cell callable ``(cell, engine=)``
+      — the in-process chaos hook; or, on the fast
       engine with ``workers > 1``, on a pool built by
       ``supervisor.pool_factory`` — the pool-level chaos hook.
 
@@ -567,8 +558,7 @@ def _run_cells_supervised(
             cache,
             cell_runner if cell_runner is not None else _run_cell,
         )
-        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-        resolve_engine("campaign", engine)(run, workers, **kwargs)
+        resolve_engine("campaign", engine)(run, workers)
     finally:
         if owns_journal:
             journal.close()
@@ -585,7 +575,6 @@ def run_campaign(
     engine: str = "fast",
     workers: int = 1,
     cache: CampaignCache | None = None,
-    chunk_size: int | None = None,
     supervisor=None,
     journal=None,
 ) -> CampaignResult:
@@ -595,9 +584,8 @@ def run_campaign(
     uniform façade knobs): ``engine`` selects the ``"campaign"``
     backend (``"model"`` oracle or the default ``"fast"`` lockstep
     path); ``workers > 1`` spreads cells over a worker pool on the
-    fast engine; ``chunk_size`` streams each cell's seeds in blocks
-    (fast engine only).  Cell summaries are bit-identical across
-    engines, worker counts and chunk sizes — which is what makes
+    fast engine.  Cell summaries are bit-identical across engines and
+    worker counts — which is what makes
     ``cache`` (a :class:`~repro.scenarios.cache.CampaignCache`) sound:
     cells whose canonical digest hits the cache are served without
     running, only the missing cells go to the engine, and the grid is
@@ -621,7 +609,6 @@ def run_campaign(
         spec,
         engine=engine,
         workers=workers,
-        chunk_size=chunk_size,
         cache=cache,
         supervisor=supervisor,
         journal=journal,

@@ -46,7 +46,8 @@ from repro.errors import ConfigurationError
 #: IMU sample (see :mod:`repro.comm.protocol`).
 FRAMES_PER_IMU_SAMPLE = 2
 
-_SENSORS = ("acc", "imu", "gyro", "imu_accel")
+#: Each sensor's value-array axis count (the ACC is two-axis).
+_SENSORS = {"acc": 2, "imu": 3, "gyro": 3, "imu_accel": 3}
 
 
 @dataclass
@@ -81,7 +82,7 @@ class RunStreams:
         if sensor == "imu":
             return [self.imu_rate, self.imu_force]
         raise ConfigurationError(
-            f"unknown sensor {sensor!r}; expected one of {_SENSORS}"
+            f"unknown sensor {sensor!r}; expected one of {tuple(_SENSORS)}"
         )
 
     def time_of(self, sensor: str) -> np.ndarray:
@@ -111,6 +112,22 @@ def _check_window(start: float, duration: float | None) -> None:
         raise ConfigurationError(
             f"fault duration must be > 0, got {duration}"
         )
+
+
+def _check_sensor(sensor: str, axes=()) -> None:
+    """Refuse an unknown sensor, or an axis index it does not have.
+
+    A negative index is refused too: NumPy would wrap it onto another
+    axis instead of failing.
+    """
+    if sensor not in _SENSORS:
+        raise ConfigurationError(f"unknown sensor {sensor!r}")
+    for axis in axes:
+        if not 0 <= axis < _SENSORS[sensor]:
+            raise ConfigurationError(
+                f"sensor {sensor!r} has axes 0..{_SENSORS[sensor] - 1}, "
+                f"got axis {axis}"
+            )
 
 
 def _window_mask(
@@ -162,10 +179,9 @@ class SensorDropout(Fault):
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.duration)
-        if self.sensor not in _SENSORS:
-            raise ConfigurationError(f"unknown sensor {self.sensor!r}")
-        if not self.jitter >= 0.0:
-            raise ConfigurationError("jitter must be >= 0")
+        _check_sensor(self.sensor, self.axes or ())
+        if not 0.0 <= self.jitter < math.inf:
+            raise ConfigurationError("jitter must be finite and >= 0")
 
     def apply(self, streams: RunStreams, seed: int) -> None:
         start = self.start
@@ -201,8 +217,7 @@ class StuckAxis(Fault):
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.duration)
-        if self.sensor not in _SENSORS:
-            raise ConfigurationError(f"unknown sensor {self.sensor!r}")
+        _check_sensor(self.sensor, (self.axis,))
 
     def apply(self, streams: RunStreams, seed: int) -> None:
         time = streams.time_of(self.sensor)
@@ -232,8 +247,7 @@ class SaturatedAxis(Fault):
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.duration)
-        if self.sensor not in _SENSORS:
-            raise ConfigurationError(f"unknown sensor {self.sensor!r}")
+        _check_sensor(self.sensor, (self.axis,))
         if not self.level > 0.0:
             raise ConfigurationError("saturation level must be > 0")
 
@@ -265,10 +279,11 @@ class ClockSkew(Fault):
     salt: int = 0
 
     def __post_init__(self) -> None:
-        if self.sensor not in _SENSORS:
-            raise ConfigurationError(f"unknown sensor {self.sensor!r}")
-        if not self.jitter_ppm >= 0.0:
-            raise ConfigurationError("jitter_ppm must be >= 0")
+        _check_sensor(self.sensor)
+        if not math.isfinite(self.ppm):
+            raise ConfigurationError(f"ppm must be finite, got {self.ppm}")
+        if not 0.0 <= self.jitter_ppm < math.inf:
+            raise ConfigurationError("jitter_ppm must be finite and >= 0")
 
     def apply(self, streams: RunStreams, seed: int) -> None:
         ppm = self.ppm
@@ -367,8 +382,9 @@ class DriftRamp(Fault):
 
     def __post_init__(self) -> None:
         _check_window(self.start, None)
-        if self.sensor not in _SENSORS:
-            raise ConfigurationError(f"unknown sensor {self.sensor!r}")
+        _check_sensor(self.sensor, self.axes or ())
+        if not math.isfinite(self.rate):
+            raise ConfigurationError(f"rate must be finite, got {self.rate}")
 
     def apply(self, streams: RunStreams, seed: int) -> None:
         time = streams.time_of(self.sensor)

@@ -2,7 +2,10 @@
 
 :func:`run_jobs_inline` turns a merged lockstep job list into per-seed
 outcome rows — the rows both ``"ensemble"`` engines return, which the
-engine-registry harness pins against each other.  The service runs it
+engine-registry harness pins against each other — streaming the jobs
+in the arena's seed blocks
+(:data:`~repro.experiments.arena.CHUNK_SIZE`), so a batch of any size
+runs in bounded memory.  The service runs it
 in this process (recycling a caller-owned
 :class:`~repro.experiments.arena.StateArena` across batches) or ships
 it, with the batch, to a worker of the persistent pool that
@@ -25,10 +28,7 @@ from repro.experiments.arena import StateArena, iter_job_outcomes
 
 def run_jobs_inline(
     jobs: Sequence[EnsembleJob],
-    chunk_size: int | None = None,
     arena: StateArena | None = None,
 ) -> list[tuple[int, tuple | None]]:
     """The chunked lockstep core; module-level so spawn pickles it."""
-    return list(
-        iter_job_outcomes(jobs, chunk_size=chunk_size, arena=arena)
-    )
+    return list(iter_job_outcomes(jobs, arena=arena))

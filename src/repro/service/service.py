@@ -94,7 +94,6 @@ class ScenarioService:
         max_batch_size: int = 64,
         max_wait: float = 0.002,
         max_pending: int = 256,
-        chunk_size: int | None = None,
         cache: CampaignCache | None = None,
         supervisor: Supervisor | None = None,
     ) -> None:
@@ -105,7 +104,6 @@ class ScenarioService:
         self.metrics = ServiceMetrics()
         self._cache = cache
         self._supervisor = supervisor if supervisor is not None else Supervisor()
-        self._chunk_size = chunk_size
         self._arena = StateArena()
         self._pool = (
             self._supervisor.pool_factory(workers) if workers >= 1 else None
@@ -202,7 +200,7 @@ class ScenarioService:
         instead of raising.
         """
         supervisor = self._supervisor
-        task = functools.partial(run_jobs_inline, chunk_size=self._chunk_size)
+        task = run_jobs_inline
         if self._pool is not None:
             source = "pool"
         else:
@@ -295,7 +293,6 @@ def execute_requests(
     workers: int = 0,
     max_batch_size: int | None = None,
     max_wait: float = 0.002,
-    chunk_size: int | None = None,
     cache: CampaignCache | None = None,
     service: ScenarioService | None = None,
     supervisor: Supervisor | None = None,
@@ -321,7 +318,6 @@ def execute_requests(
             max_batch_size=max_batch_size or len(requests),
             max_wait=max_wait,
             max_pending=len(requests),
-            chunk_size=chunk_size,
             cache=cache,
             supervisor=supervisor,
         )

@@ -5,8 +5,9 @@ The api_redesign regression surface: the legacy entry points
 ``run_campaign``) are now thin shims over :func:`repro.api.execute`,
 and these tests pin old-vs-new **bit-identity** — the refactor must
 be invisible to every existing caller — plus the normalized execution
-knobs (``engine=``, ``workers=``, ``chunk_size=``, ``cache=``), which
-are all checked before any side effect.
+knobs (``engine=``, ``workers=``, ``cache=``), which are all checked
+before any side effect.  The seed-block size is not a knob: tests
+that stream small blocks patch the arena's ``CHUNK_SIZE``.
 """
 
 import gc
@@ -14,6 +15,7 @@ import warnings
 
 import pytest
 
+import repro.experiments.arena
 from repro.analysis.montecarlo import (
     run_monte_carlo_dynamic,
     run_monte_carlo_static,
@@ -102,26 +104,10 @@ class TestKnobUniformity:
     def test_chunk_size_streams_bit_identically(self):
         request = ScenarioRequest(scenario=BENCH, seeds=(300, 301, 302))
         whole = execute(request, engine="fast")
-        chunked = execute(request, engine="fast", chunk_size=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.experiments.arena, "CHUNK_SIZE", 2)
+            chunked = execute(request, engine="fast")
         assert whole.summary == chunked.summary
-
-    def test_chunk_size_rejected_on_non_streaming_engines(self):
-        request = ScenarioRequest(scenario=BENCH, seeds=(300,))
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            execute(request, engine="model", chunk_size=2)
-        spec = CampaignSpec(
-            name="grid",
-            scenarios=(BENCH,),
-            faults=(FaultSpec(name="nominal"),),
-            seeds=(300,),
-        )
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            execute(spec, engine="model", chunk_size=2)
-
-    def test_chunk_size_validated(self):
-        request = ScenarioRequest(scenario=BENCH, seeds=(300,))
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            execute(request, engine="fast", chunk_size=0)
 
     def test_worker_validation_precedes_compute(self):
         request = ScenarioRequest(scenario=BENCH, seeds=(300,))
@@ -224,7 +210,9 @@ class TestLegacyShimFidelity:
             seeds=(300, 301, 302),
         )
         whole = run_campaign(spec, engine="fast")
-        chunked = run_campaign(spec, engine="fast", chunk_size=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.experiments.arena, "CHUNK_SIZE", 1)
+            chunked = run_campaign(spec, engine="fast")
         assert whole.summaries == chunked.summaries
 
     def test_shim_cache_knob(self):
@@ -244,9 +232,7 @@ class TestLegacyShimFidelity:
 class TestValidateFirst:
     """Rejected knobs leave nothing behind: no journal file, no handle."""
 
-    @pytest.mark.parametrize(
-        "knobs", [{"workers": 2}, {"chunk_size": 2}], ids=["workers", "chunk_size"]
-    )
+    @pytest.mark.parametrize("knobs", [{"workers": 2}], ids=["workers"])
     def test_rejected_campaign_opens_no_journal(self, tmp_path, knobs):
         spec = CampaignSpec(
             name="grid",

@@ -3,19 +3,24 @@
 The load-bearing claim of :mod:`repro.experiments.arena` is
 bit-identity by construction: chunking only partitions the job list —
 every run's RNG tree is rooted at its own seed — so each seed's
-outcome row is the same at every chunk size, and the one reduction,
+outcome row is the same at every block size, and the one reduction,
 :func:`~repro.analysis.montecarlo.summarize_rows`, runs over the rows
 of the whole ensemble.  These tests pin that claim at the unit level
-(arena buffer reuse, chunk iteration, the row reduction) and end to
-end: model and fast rows compared seed by seed at chunk=1, an uneven
-chunk=2 and chunk=R, for a faulted campaign cell crossing chunk
+(arena buffer reuse, the block loop, the row reduction) and end to
+end: model and fast rows compared seed by seed at blocks of 1, an
+uneven 2 and R, for a faulted campaign cell crossing block
 boundaries, and for one batch whose rows each carry their own fault
-chain (seeds repeated under different chains).
+chain (seeds repeated under different chains).  The block size is the
+arena's ``CHUNK_SIZE`` constant; tests that need small blocks patch it
+around the call and materialize every row inside the patch.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.experiments.arena
 from repro.analysis.montecarlo import (
     EnsembleJob,
     run_monte_carlo_static,
@@ -24,12 +29,7 @@ from repro.analysis.montecarlo import (
 )
 from repro.engines import assert_payloads_equal, resolve_engine
 from repro.errors import ConfigurationError
-from repro.experiments.arena import (
-    DEFAULT_CHUNK_SIZE,
-    StateArena,
-    iter_chunks,
-    iter_job_outcomes,
-)
+from repro.experiments.arena import StateArena, iter_job_outcomes
 from repro.experiments.batch_protocol import run_lockstep_jobs
 from repro.experiments.table1 import static_estimator_config
 from repro.geometry import EulerAngles
@@ -85,17 +85,56 @@ class TestStateArena:
             StateArena().take("", 4)
 
 
+def _stub_blocks(seeds, block=None):
+    """The seed blocks ``iter_job_outcomes`` forms, and its rows.
+
+    Each block runs as a stub ensemble whose odd seeds diverge, so the
+    loop is exercised without the lockstep pipeline.
+    """
+    blocks = []
+
+    def ensemble_for_jobs(jobs, arena):
+        block_seeds = [job.seed for job in jobs]
+        blocks.append(block_seeds)
+        diverged = [seed % 2 == 1 for seed in block_seeds]
+        survivors = [s for s, bad in zip(block_seeds, diverged) if not bad]
+        return SimpleNamespace(
+            seeds=block_seeds,
+            result=SimpleNamespace(diverged=diverged),
+            outcomes=lambda: [("row", seed) for seed in survivors],
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            "repro.experiments.batch_protocol._ensemble_for_jobs",
+            ensemble_for_jobs,
+        )
+        if block is not None:
+            patch.setattr(repro.experiments.arena, "CHUNK_SIZE", block)
+        jobs = [SimpleNamespace(seed=seed) for seed in seeds]
+        rows = list(iter_job_outcomes(jobs))
+    return blocks, rows
+
+
 class TestIterChunks:
+    """The seed-block loop inside ``iter_job_outcomes``."""
+
     def test_uneven_tail(self):
-        chunks = list(iter_chunks(list(range(5)), 2))
-        assert chunks == [[0, 1], [2, 3], [4]]
+        blocks, rows = _stub_blocks(range(5), block=2)
+        assert blocks == [[0, 1], [2, 3], [4]]
+        # Rows keep job order; a diverged seed yields None.
+        assert rows == [
+            (0, ("row", 0)),
+            (1, None),
+            (2, ("row", 2)),
+            (3, None),
+            (4, ("row", 4)),
+        ]
 
     def test_single_chunk_when_large(self):
-        assert list(iter_chunks([1, 2, 3], 10)) == [[1, 2, 3]]
-
-    def test_chunk_size_validated(self):
-        with pytest.raises(ConfigurationError, match="chunk"):
-            list(iter_chunks([1], 0))
+        blocks, rows = _stub_blocks([2, 3, 4])
+        assert blocks == [[2, 3, 4]]
+        assert rows == [(2, ("row", 2)), (3, None), (4, ("row", 4))]
 
 
 class TestSummarizeRows:
@@ -170,6 +209,14 @@ def _static_jobs(runs: int) -> list[EnsembleJob]:
     ]
 
 
+def _rows_at_block(jobs, block=None):
+    """The lockstep engine's rows, at seed block ``block`` if given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(repro.experiments.arena, "CHUNK_SIZE", block)
+        return run_lockstep_jobs(jobs, 1)
+
+
 def _assert_rows_equal(rows, oracle, label):
     """Rows equal seed by seed: values bitwise, types and dtypes too."""
     assert_payloads_equal(rows, oracle, label)
@@ -186,22 +233,25 @@ class TestChunkBoundaryBitIdentity:
         jobs = _static_jobs(5)
         oracle = resolve_engine("ensemble", "model")(jobs, 1)
         assert summarize_rows(oracle).anees is not None
-        # chunk=1, an uneven 2+2+1 split, chunk=R, and the default.
-        for chunk_size in (1, 2, 5, None):
-            rows = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
-            _assert_rows_equal(rows, oracle, f"chunk_size={chunk_size}")
+        # Blocks of 1, an uneven 2+2+1 split, R, and the unpatched size.
+        for block in (1, 2, 5, None):
+            rows = _rows_at_block(jobs, block)
+            _assert_rows_equal(rows, oracle, f"block={block}")
 
     def test_chunks_share_one_truth_integration(self, truth_integrations):
-        run_lockstep_jobs(_static_jobs(3), 1, chunk_size=1)
-        # Three chunks, one calibration level and one test drive.
+        _rows_at_block(_static_jobs(3), 1)
+        # Three blocks, one calibration level and one test drive.
         assert len(truth_integrations) == 2
 
     def test_explicit_arena_reuse_across_ensembles(self):
         jobs = _static_jobs(4)
         arena = StateArena()
-        first = list(iter_job_outcomes(jobs, chunk_size=2, arena=arena))
-        slots_after_first = set(arena.slot_names)
-        second = list(iter_job_outcomes(jobs, chunk_size=3, arena=arena))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.experiments.arena, "CHUNK_SIZE", 2)
+            first = list(iter_job_outcomes(jobs, arena=arena))
+            slots_after_first = set(arena.slot_names)
+            patch.setattr(repro.experiments.arena, "CHUNK_SIZE", 3)
+            second = list(iter_job_outcomes(jobs, arena=arena))
         _assert_rows_equal(second, first, "second pass")
         # Reuse, not growth: a second pass takes the same slots.
         assert set(arena.slot_names) == slots_after_first
@@ -211,12 +261,10 @@ class TestChunkBoundaryBitIdentity:
             runs=4, duration=60.0, dwell_time=3.0, slew_time=1.5,
             base_seed=700, engine="fast",
         )
-        chunked = run_lockstep_jobs(_static_jobs(4), 1, chunk_size=3)
+        chunked = _rows_at_block(_static_jobs(4), 3)
         assert summarize_rows(chunked) == monolithic
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError, match="chunk"):
-            run_lockstep_jobs(_static_jobs(2), 1, chunk_size=0)
         with pytest.raises(ConfigurationError, match="at least one"):
             list(iter_job_outcomes([]))
 
@@ -235,10 +283,10 @@ class TestFaultedCampaignCellChunking:
         )
         jobs = cell.jobs()
         oracle = resolve_engine("ensemble", "model")(jobs, 1)
-        # chunk=1, an uneven 2+1 split and chunk=R.
-        for chunk_size in (1, 2, 3):
-            rows = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
-            _assert_rows_equal(rows, oracle, f"chunk_size={chunk_size}")
+        # Blocks of 1, an uneven 2+1 split and R.
+        for block in (1, 2, 3):
+            rows = _rows_at_block(jobs, block)
+            _assert_rows_equal(rows, oracle, f"block={block}")
 
 
 def _mixed_chain_jobs(scenario_name: str) -> list[EnsembleJob]:
@@ -278,11 +326,9 @@ class TestMixedChainRows:
         oracle = resolve_engine("ensemble", "model")(jobs, 1)
         # A seed's rows differ when its chain does.
         assert not np.array_equal(oracle[0][1][0], oracle[1][1][0])
-        for chunk_size in (1, 2, 6):
-            rows = run_lockstep_jobs(jobs, 1, chunk_size=chunk_size)
-            _assert_rows_equal(
-                rows, oracle, f"{scenario_name} chunk_size={chunk_size}"
-            )
+        for block in (1, 2, 6):
+            rows = _rows_at_block(jobs, block)
+            _assert_rows_equal(rows, oracle, f"{scenario_name} block={block}")
 
     def test_one_chain_per_seed(self):
         from repro.experiments.batch_protocol import run_static_ensemble
@@ -300,5 +346,5 @@ class TestMixedChainRows:
 
 
 def test_default_chunk_size_sane():
-    assert isinstance(DEFAULT_CHUNK_SIZE, int)
-    assert DEFAULT_CHUNK_SIZE >= 1
+    assert isinstance(repro.experiments.arena.CHUNK_SIZE, int)
+    assert repro.experiments.arena.CHUNK_SIZE >= 1

@@ -14,6 +14,7 @@ Two halves:
    put it under this verification.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.arena
 from repro.engines import (
     assert_payloads_equal,
     bit_exact_pairs,
@@ -40,18 +42,23 @@ from repro.errors import ConfigurationError, EngineError
 #: engine paired with its domain oracle.
 PAIRS = bit_exact_pairs()
 
-#: The harness cases: every pair at its probe's defaults, plus the
-#: "chunked" case — the ensemble lockstep probe at one seed per arena
-#: chunk, so every run crosses a chunk boundary and reuses the arena.
+#: The harness cases: every pair at the arena's seed block (``None``:
+#: unpatched), plus the "chunked" case — the ensemble lockstep probe
+#: with ``CHUNK_SIZE`` patched to one seed per block, so every run
+#: crosses a block boundary and reuses the arena.
 CASES = [
-    pytest.param(domain, name, oracle, {}, id=f"{domain}-{name}-{oracle}")
+    pytest.param(domain, name, oracle, None, id=f"{domain}-{name}-{oracle}")
     for domain, name, oracle in PAIRS
-] + [
-    pytest.param(
-        "ensemble", "fast", "model", {"chunk_size": 1},
-        id="ensemble-chunked-model",
-    )
-]
+] + [pytest.param("ensemble", "fast", "model", 1, id="ensemble-chunked-model")]
+
+
+def _fast_payload(domain: str, name: str, seed: int, block: int | None):
+    """The fast probe's payload, run at seed block ``block`` if given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(repro.experiments.arena, "CHUNK_SIZE", block)
+        return get_probe(domain, name)(seed)
+
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -252,6 +259,35 @@ class TestRegistryMechanics:
         ] == ["scenarios/campaign.py"]
         assert sources["scenarios/campaign.py"].count("EnsembleJob(") == 1
 
+    def test_one_chunk_size(self):
+        # The lockstep core owns its seed block: no function takes a
+        # chunk_size, no engine flags that it accepts one, and only the
+        # arena assigns the block size.
+        params, flags, assigned = [], [], []
+        for path in sorted(SRC.rglob("*.py")):
+            where = str(path.relative_to(SRC))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.arg) and node.arg == "chunk_size":
+                    params.append(where)
+                words = [
+                    getattr(node, field, None)
+                    for field in ("arg", "attr", "id", "name", "value")
+                ]
+                if any(
+                    isinstance(word, str) and "accepts_chunk_size" in word
+                    for word in words
+                ):
+                    flags.append(where)
+                if (
+                    isinstance(getattr(node, "ctx", None), ast.Store)
+                    and isinstance(node, ast.Name | ast.Attribute)
+                    and (words[1] or words[2]).endswith("CHUNK_SIZE")
+                ):
+                    assigned.append(where)
+        assert params == []
+        assert flags == []
+        assert assigned == ["experiments/arena.py"]
+
     def test_divergence_is_reported_in_one_place(self):
         # Every summary comes from summarize_rows; only execute() turns
         # "every seed diverged" into an error, and no code recovers
@@ -292,16 +328,16 @@ class TestPayloadComparison:
 class TestEquivalenceHarness:
     """Every registered pair, verified against its oracle via probes."""
 
-    @pytest.mark.parametrize("domain,name,oracle,knobs", CASES)
+    @pytest.mark.parametrize("domain,name,oracle,block", CASES)
     def test_pair_bit_identical_on_pinned_seed(
-        self, domain, name, oracle, knobs
+        self, domain, name, oracle, block
     ):
-        fast = get_probe(domain, name)(7, **knobs)
+        fast = _fast_payload(domain, name, 7, block)
         reference = get_probe(domain, oracle)(7)
         assert_payloads_equal(fast, reference, path=f"{domain}/{name}")
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("domain,name,oracle,knobs", CASES)
+    @pytest.mark.parametrize("domain,name,oracle,block", CASES)
     @settings(
         max_examples=3,
         deadline=None,
@@ -309,11 +345,11 @@ class TestEquivalenceHarness:
     )
     @given(seed=st.integers(min_value=0, max_value=2**16 - 1))
     def test_pair_bit_identical_on_random_configs(
-        self, domain, name, oracle, knobs, seed
+        self, domain, name, oracle, block, seed
     ):
         # The scenarios derive their inputs and configurations from
         # the seed, so this sweeps random configs per pair.
-        fast = get_probe(domain, name)(seed, **knobs)
+        fast = _fast_payload(domain, name, seed, block)
         reference = get_probe(domain, oracle)(seed)
         assert_payloads_equal(fast, reference, path=f"{domain}/{name}")
 

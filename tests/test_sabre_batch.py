@@ -378,10 +378,6 @@ class TestApiFacade:
         with pytest.raises(ConfigurationError, match="single-process"):
             api.execute(self.REQUEST, workers=2)
 
-    def test_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            api.execute(self.REQUEST, chunk_size=4)
-
     def test_cache_round_trip(self, tmp_path):
         cache = CampaignCache(tmp_path)
         first = api.execute(self.REQUEST, cache=cache)

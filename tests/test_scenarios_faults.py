@@ -206,6 +206,33 @@ class TestFaultMechanics:
         ):
             with pytest.raises(ConfigurationError):
                 build()
+        # Non-finite magnitudes would NaN or overflow the whole stream
+        # (or raise in apply, sinking every request of a shared batch).
+        inf = float("inf")
+        for build in (
+            lambda: ClockSkew(ppm=nan),
+            lambda: ClockSkew(ppm=-inf),
+            lambda: ClockSkew(jitter_ppm=inf),
+            lambda: DriftRamp(rate=nan),
+            lambda: DriftRamp(rate=inf),
+            lambda: SensorDropout(jitter=inf),
+        ):
+            with pytest.raises(ConfigurationError, match="finite"):
+                build()
+        # Axis indices must exist on the sensor (ACC has two axes, the
+        # IMU triads three); a negative index would wrap silently.
+        for build in (
+            lambda: StuckAxis(sensor="acc", axis=2, start=5.0),
+            lambda: StuckAxis(sensor="acc", axis=-1),
+            lambda: SaturatedAxis(sensor="gyro", axis=3),
+            lambda: SensorDropout(sensor="acc", axes=(0, 2)),
+            lambda: SensorDropout(sensor="imu", axes=(-1,)),
+            lambda: DriftRamp(sensor="imu_accel", axes=(3,)),
+        ):
+            with pytest.raises(ConfigurationError, match="axes"):
+                build()
+        assert StuckAxis(sensor="gyro", axis=2).axis == 2
+        assert DriftRamp(sensor="acc", axes=(0, 1)).axes == (0, 1)
 
     def test_apply_order_matters(self):
         ramp = DriftRamp(sensor="acc", rate=0.5, start=0.0)
