@@ -33,7 +33,7 @@ def measure_dynamic_ensemble(runs: int = 32, duration: float = 160.0) -> dict:
     kwargs = dict(runs=runs, duration=duration)
 
     start = time.perf_counter()
-    serial = run_monte_carlo_dynamic(engine="model", workers=1, **kwargs)
+    serial = run_monte_carlo_dynamic(engine="model", **kwargs)
     model_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -5,20 +5,18 @@ These helpers run the §11 protocols (static bench and dynamic drive)
 across seeds and aggregate error statistics — used to check the
 3-sigma coverage claim statistically rather than anecdotally.
 
-Ensembles are embarrassingly parallel: every run owns an independent
-seed, so ``workers > 1`` fans the runs out over spawned processes.
-Results are aggregated in job-submission order regardless of which
-worker finishes first, so the summary is deterministic and identical
-to a serial run with the same seeds.
-
-They also batch: ``engine="fast"`` advances every run in lockstep over
-stacked arrays (shared trajectory sampling, batched noise and
-vibration chains, a :class:`~repro.fusion.batch_kalman.BatchKalmanFilter`
-with per-run motion gating), bit-identical to the serial engine with
-the same seeds and roughly ``runs`` times faster in one process.  It
-streams the runs in seed blocks of
-:data:`~repro.experiments.arena.CHUNK_SIZE` to bound memory; the block
-size is not a parameter, because no result bit depends on it.
+Every run owns an independent seed, so ensembles batch:
+``engine="fast"`` advances every run in lockstep over stacked arrays
+(shared trajectory sampling, batched noise and vibration chains, a
+:class:`~repro.fusion.batch_kalman.BatchKalmanFilter` with per-run
+motion gating), bit-identical to the serial engine with the same seeds
+and roughly ``runs`` times faster in one process.  It streams the runs
+in seed blocks of :data:`~repro.experiments.arena.CHUNK_SIZE` to bound
+memory; the block size is not a parameter, because no result bit
+depends on it.  The serial engine, ``engine="model"``, is the
+verification oracle: one rig per seed, in seed order, in this process.
+Process parallelism is a campaign knob
+(:mod:`repro.scenarios.campaign`), not an ensemble one.
 
 Both engines mask divergence per run: a seed whose filter blows up
 (e.g. under an injected ACC dropout) is reported in
@@ -28,18 +26,13 @@ instead of aborting the whole ensemble.
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.engines import register_engine
-from repro.errors import (
-    ConfigurationError,
-    FilterDivergenceError,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, FilterDivergenceError
 from repro.experiments.protocol import BoresightTestRig, RigConfig
 from repro.experiments.table1 import (
     dynamic_estimator_config,
@@ -47,7 +40,6 @@ from repro.experiments.table1 import (
 )
 from repro.fusion import BoresightConfig
 from repro.geometry import EulerAngles
-from repro.resilience.pool import WorkerPool
 from repro.scenarios.faults import Fault
 from repro.vehicle import Trajectory, VibrationSpec
 
@@ -96,8 +88,8 @@ class MonteCarloSummary:
 
     def __eq__(self, other: object) -> bool:
         # The dataclass-generated __eq__ would raise on the ndarray
-        # fields; exact comparison supports the workers=1-vs-N and
-        # model-vs-fast determinism contracts.
+        # fields; exact comparison supports the model-vs-fast
+        # determinism contract.
         if not isinstance(other, MonteCarloSummary):
             return NotImplemented
         return (
@@ -180,9 +172,8 @@ def summarize_rows(
 class EnsembleJob:
     """One seeded protocol run, fully specified and picklable.
 
-    The typed job payload shared by the static and dynamic serial
-    engines (and their ``workers > 1`` process pools): everything a
-    worker needs to reproduce the run bit-for-bit from the seed alone.
+    The typed job payload both ``"ensemble"`` engines take: everything
+    a run needs to reproduce it bit-for-bit from the seed alone.
     Campaign cells and service requests build theirs through
     :func:`repro.scenarios.campaign.scenario_jobs`.
     """
@@ -205,7 +196,7 @@ class EnsembleJob:
 def _run_job(
     job: EnsembleJob,
 ) -> tuple[np.ndarray, int, float, int, np.ndarray] | None:
-    """One seeded protocol run; module-level so spawn can pickle it.
+    """One seeded protocol run on its own serial rig.
 
     Returns ``None`` when the run's filter diverges — the covariance
     check raises :class:`~repro.errors.FilterDivergenceError`, or the
@@ -237,40 +228,22 @@ def _run_job(
     "ensemble",
     "model",
     oracle=True,
-    description="one serial rig per seed, optionally process-parallel",
+    description="one serial rig per seed, in job order",
 )
 def _run_serial_engine(
-    jobs: list[EnsembleJob], workers: int
+    jobs: list[EnsembleJob],
 ) -> list[tuple[int, tuple | None]]:
-    """Execute jobs on the oracle engine, serially or process-parallel.
+    """Execute jobs on the oracle engine, one serial rig per seed.
 
-    The ``"ensemble"`` domain contract: engines take the typed
-    :class:`EnsembleJob` list plus the ``workers`` count and return
-    one ``(seed, outcome | None)`` row per job, in job order
-    (``None`` = that seed diverged); callers reduce the rows with
+    The ``"ensemble"`` domain contract: ``engine(jobs) -> rows``.
+    Engines take the typed :class:`EnsembleJob` list and return one
+    ``(seed, outcome | None)`` row per job, in job order (``None`` =
+    that seed diverged); callers reduce the rows with
     :func:`summarize_rows`.  This oracle runs one
-    :class:`~repro.experiments.protocol.BoresightTestRig` per seed —
-    in-process, or fanned out over a
-    :class:`~repro.resilience.pool.WorkerPool` that lives for this
-    call, with results collected in job order.
+    :class:`~repro.experiments.protocol.BoresightTestRig` per seed, in
+    this process.
     """
-    if workers > 1 and len(jobs) > 1:
-        pool = WorkerPool(min(workers, len(jobs)))
-        try:
-            futures = [pool.submit(_run_job, job) for job in jobs]
-            results = [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            raise SimulationError(
-                "Monte-Carlo worker pool died; see the chained exception "
-                "for the real cause. One common one: spawned workers "
-                "re-import the caller's __main__, which fails from "
-                "REPL/stdin contexts — there, use workers=1."
-            ) from exc
-        finally:
-            pool.shutdown()
-    else:
-        results = [_run_job(job) for job in jobs]
-    return [(job.seed, outcome) for job, outcome in zip(jobs, results)]
+    return [(job.seed, _run_job(job)) for job in jobs]
 
 
 def run_monte_carlo_static(
@@ -281,7 +254,6 @@ def run_monte_carlo_static(
     base_seed: int = 100,
     dwell_time: float = 10.0,
     slew_time: float = 3.0,
-    workers: int = 1,
     engine: str = "model",
     faults: Sequence[Fault] = (),
     fallback_hold: bool = False,
@@ -292,22 +264,19 @@ def run_monte_carlo_static(
     Uses a compressed tilt schedule by default so ensembles stay cheap;
     pass ``dwell_time=16, slew_time=4`` for the paper's full schedule.
 
-    ``workers > 1`` runs the seeds in parallel across spawned worker
-    processes; the summary is bit-identical to ``workers=1`` because
-    each run is driven only by its own seed and aggregation follows
-    the seed order, not completion order.
-
     ``engine`` selects how the ensemble executes:
 
     - ``"model"`` (default) — one serial rig per seed, the verification
-      oracle; this is the only engine that composes with ``workers``.
+      oracle.
     - ``"fast"`` — the batched lockstep engine: all runs advance
       together over stacked ``(R, ...)`` arrays (one trajectory
       sampling, batched noise chains, a ``BatchKalmanFilter``).  The
       summary is **bit-identical** to ``engine="model"`` with the same
-      seeds (per-seed RNG draws are unchanged), roughly ``runs`` times
-      faster, and single-process: combining it with ``workers > 1``
-      raises :class:`~repro.errors.ConfigurationError`.
+      seeds (per-seed RNG draws are unchanged) and roughly ``runs``
+      times faster.
+
+    Both run in this process; fanning work out over processes is a
+    campaign knob (:func:`~repro.scenarios.campaign.run_campaign`).
 
     ``faults`` injects a :mod:`repro.scenarios.faults` chain into every
     run; ``fallback_hold`` arms the dead-reckoning rung of the
@@ -348,12 +317,7 @@ def run_monte_carlo_static(
         estimator_config=estimator_config,
         fallback_hold=fallback_hold,
     )
-    return execute(
-        request,
-        engine=engine,
-        workers=workers,
-        cache=cache,
-    ).summary
+    return execute(request, engine=engine, cache=cache).summary
 
 
 def run_monte_carlo_dynamic(
@@ -366,7 +330,6 @@ def run_monte_carlo_dynamic(
     motion_gate_rate: float | None = DYNAMIC_MOTION_GATE_RATE,
     acc_dropout: Mapping[int, float] | None = None,
     adaptive: bool = False,
-    workers: int = 1,
     engine: str = "model",
     faults: Sequence[Fault] = (),
     fallback_hold: bool = False,
@@ -395,9 +358,9 @@ def run_monte_carlo_dynamic(
     batched ensemble carries one lockstep noise matcher per run,
     bit-identical to the serial estimator's.
 
-    ``workers`` and ``engine`` behave exactly as in
-    :func:`run_monte_carlo_static`; the fast engine's summary is
-    bit-identical to the serial oracle's for the same seeds.
+    ``engine`` behaves exactly as in :func:`run_monte_carlo_static`;
+    the fast engine's summary is bit-identical to the serial oracle's
+    for the same seeds.
 
     ``faults`` injects a :mod:`repro.scenarios.faults` chain into every
     run, ``fallback_hold`` arms the dead-reckoning rung of the
@@ -445,9 +408,4 @@ def run_monte_carlo_dynamic(
         fallback_hold=fallback_hold,
         acc_dropout=dropout,
     )
-    return execute(
-        request,
-        engine=engine,
-        workers=workers,
-        cache=cache,
-    ).summary
+    return execute(request, engine=engine, cache=cache).summary

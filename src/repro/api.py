@@ -4,23 +4,23 @@ One front door over every execution path the library grew: build a
 typed request, call :func:`execute`, get a typed result.
 
 - a :class:`~repro.service.requests.ScenarioRequest` routes to the
-  ``"ensemble"`` engine domain (serial oracle, process-parallel
-  oracle, or the chunked lockstep path) and returns a
+  ``"ensemble"`` engine domain (the serial per-seed oracle or the
+  chunked lockstep path) and returns a
   :class:`~repro.service.requests.ScenarioResult`;
 - a :class:`~repro.scenarios.campaign.CampaignSpec` routes to the
   ``"campaign"`` domain (supervised grid execution with per-cell
-  cache stitching) and returns a
-  :class:`~repro.scenarios.campaign.CampaignResult`;
+  cache stitching, cells optionally spread over a worker pool) and
+  returns a :class:`~repro.scenarios.campaign.CampaignResult`;
 - a :class:`~repro.sabre.harness.FirmwareRequest` routes to the
   ``"sabre"`` domain (serial firmware oracle, or the batched
   SIMD-over-instances CPU) and returns a
   :class:`~repro.sabre.harness.FirmwareResult`.
 
 Every request type takes one path through :func:`execute`: the knobs
-are checked once, against the chosen engine's registration flags and
-before any work, then the cache is consulted, the engine runs, the
-result is stored and the result record built.  The knobs are uniform
-across request types — and across the legacy entry points
+are checked once, before any work, then the cache is consulted, the
+engine runs, the result is stored and the result record built.  The
+knobs are spelled the same across request types — and across the
+legacy entry points
 (:func:`~repro.analysis.montecarlo.run_monte_carlo_static`,
 :func:`~repro.analysis.montecarlo.run_monte_carlo_dynamic`,
 :func:`~repro.scenarios.campaign.run_campaign`), which are now thin
@@ -30,22 +30,21 @@ lockstep core streams seeds in blocks of
 depends on.
 
 ``engine``
-    A registry name for the request's domain, or ``"auto"`` (the
-    ``"fast"`` engine, except the process-parallel oracle for
-    scenario requests with ``workers > 1``).
-``workers``
-    Process parallelism on the library's one worker pool
-    (:class:`~repro.resilience.pool.WorkerPool`); engines flagged
-    ``single_process`` reject ``workers != 1`` *before* any
-    trajectory, pool or journal file exists.
+    A registry name for the request's domain, or ``"auto"`` (always
+    the ``"fast"`` engine).
 ``cache``
     A :class:`~repro.scenarios.cache.CampaignCache` consulted before
     executing and updated after — scenario and firmware requests are
     cached whole, campaign grids per cell.
-``supervisor`` / ``journal``
-    Campaigns only: the :class:`~repro.resilience.Supervisor` every
-    campaign runs under (``Supervisor()`` by default) and an optional
-    crash-resumable write-ahead journal.
+``workers`` / ``supervisor`` / ``journal``
+    Campaign knobs: ``workers > 1`` spreads the cells over a worker
+    pool (``"fast"`` engine only — the ``"model"`` campaign engine is
+    flagged ``single_process``); ``supervisor`` is the
+    :class:`~repro.resilience.Supervisor` every campaign runs under
+    (``Supervisor()`` by default) and ``journal`` an optional
+    crash-resumable write-ahead journal.  Scenario and firmware
+    requests run in one process and refuse all three with one rule,
+    before any trajectory, pool or journal file exists.
 
 Many *concurrent* requests belong to the asyncio service
 (:class:`repro.service.ScenarioService`), which adds coalescing,
@@ -80,58 +79,47 @@ __all__ = [
     "execute",
 ]
 
-#: Per request type: the engine domain, the ``"auto"`` engine when
-#: ``workers > 1`` (``"fast"`` otherwise), and where process
-#: parallelism lives when a single-process engine is asked for more.
-_ROUTES = {
-    ScenarioRequest: (
-        "ensemble",
-        "model",
-        "process parallelism belongs to engine='model'",
-    ),
-    CampaignSpec: (
-        "campaign",
-        "fast",
-        "cell sharding belongs to engine='fast'",
-    ),
-    FirmwareRequest: (
-        "sabre",
-        "fast",
-        "the batched engine already advances every instance per step",
-    ),
+#: The engine domain of each request type.
+_DOMAINS = {
+    ScenarioRequest: "ensemble",
+    CampaignSpec: "campaign",
+    FirmwareRequest: "sabre",
 }
 
 
 def _check(request, engine, workers, supervisor, journal):
-    """Resolve the engine and validate every knob against its flags.
+    """Resolve the engine and validate every knob.
 
     The one check :func:`execute` makes, before any trajectory, pool
     or journal file exists.  Returns ``(engine name, implementation)``.
     """
-    route = next(
-        (r for kind, r in _ROUTES.items() if isinstance(request, kind)), None
+    domain = next(
+        (d for kind, d in _DOMAINS.items() if isinstance(request, kind)), None
     )
-    if route is None:
+    if domain is None:
         raise ConfigurationError(
             f"execute() takes a ScenarioRequest, a CampaignSpec or a "
             f"FirmwareRequest, got {type(request).__name__}"
         )
-    domain, parallel_engine, parallel_hint = route
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if engine == "auto":
-        engine = parallel_engine if workers > 1 else "fast"
+        engine = "fast"
     impl = resolve_engine(domain, engine)
+    if domain != "campaign" and (
+        workers != 1 or supervisor is not None or journal is not None
+    ):
+        raise ConfigurationError(
+            f"{type(request).__name__} is single-process: it runs in one "
+            "process, so it takes no workers, supervisor or journal "
+            "(campaign knobs: CampaignSpec, or ScenarioService for "
+            "concurrent requests)"
+        )
     if workers != 1 and getattr(impl, "single_process", False):
         raise ConfigurationError(
             f"engine={engine!r} is single-process: it runs in one "
-            f"process, so use workers=1 ({parallel_hint})"
-        )
-    if domain != "campaign" and (supervisor is not None or journal is not None):
-        raise ConfigurationError(
-            f"{type(request).__name__} does not take supervisor/journal; "
-            "the supervised ladder belongs to campaign grids (CampaignSpec) "
-            "and to ScenarioService(supervisor=...)"
+            "process, so use workers=1 (cell sharding belongs to "
+            "engine='fast')"
         )
     return engine, impl
 
@@ -160,11 +148,12 @@ def execute(
     paths report, and cache, ``None`` summaries instead, because they
     aggregate many units).
 
+    ``workers`` spreads a campaign's cells over pool processes,
     ``supervisor`` replaces the campaign path's default
     ``Supervisor()`` (per-cell deadlines, retry/backoff, quarantine —
     see :mod:`repro.resilience`) and ``journal`` adds its
-    crash-resumable write-ahead record; the other request types
-    reject both, like every knob an engine cannot honor.
+    crash-resumable write-ahead record; the other request types run
+    in one process and reject all three.
     """
     engine, impl = _check(request, engine, workers, supervisor, journal)
     if isinstance(request, CampaignSpec):
@@ -189,7 +178,7 @@ def execute(
     hit, value = (False, None) if cache is None else cache.lookup(request)
     if not hit:
         if isinstance(request, ScenarioRequest):
-            value = summarize_rows(impl(request.jobs(), workers))
+            value = summarize_rows(impl(request.jobs()))
         else:
             value = impl(request)
     if value is None and isinstance(request, ScenarioRequest):

@@ -319,30 +319,25 @@ def _ensemble_for_jobs(jobs, arena: StateArena | None = None):
     "fast",
     description="seed-block chunks advanced in lockstep over one arena",
 )
-def run_lockstep_jobs(jobs, workers: int = 1):
+def run_lockstep_jobs(jobs):
     """The ``"ensemble"`` domain contract over the lockstep engine.
 
-    Takes the same typed :class:`~repro.analysis.montecarlo.EnsembleJob`
-    list as the serial oracle and returns the bit-identical
-    ``(seed, outcome | None)`` rows, in job order.  Jobs run in
+    ``engine(jobs) -> rows``: takes the same typed
+    :class:`~repro.analysis.montecarlo.EnsembleJob` list as the serial
+    oracle and returns the bit-identical ``(seed, outcome | None)``
+    rows, in job order, computed in this process.  Jobs run in
     lockstep seed blocks of :data:`~repro.experiments.arena.CHUNK_SIZE`
     over one reused :class:`~repro.experiments.arena.StateArena`, so
     arbitrary R streams through bounded memory; blocking only
     partitions the job list, so the rows are bit-identical at every
     block size.
     The jobs must share one trajectory, misalignment and estimator
-    config object, one ``moving`` flag and one vibration environment,
-    and run single-process (``workers`` must be 1).  Seeds and fault
-    chains vary freely per row: a seed may repeat under different
-    chains, and each row keeps its own outcome.
+    config object, one ``moving`` flag and one vibration environment.
+    Seeds and fault chains vary freely per row: a seed may repeat under
+    different chains, and each row keeps its own outcome.
     """
     if not jobs:
         raise ConfigurationError("need at least one job")
-    if workers != 1:
-        raise ConfigurationError(
-            "engine='fast' batches all runs in one process; use workers=1 "
-            "(process parallelism belongs to engine='model')"
-        )
     first = jobs[0]
     for job in jobs[1:]:
         if (
@@ -359,12 +354,6 @@ def run_lockstep_jobs(jobs, workers: int = 1):
                 "fault chains vary)"
             )
     return list(iter_job_outcomes(jobs))
-
-
-#: Dispatchers check this before building the (expensive) job list so
-#: an engine/workers mismatch fails fast; the in-engine check above
-#: still guards direct callers.
-run_lockstep_jobs.single_process = True
 
 
 def run_static_ensemble(

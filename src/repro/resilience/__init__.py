@@ -16,12 +16,12 @@ rung (``BrokenProcessPool`` -> serial fallback) into a ladder:
    ``run_campaign`` resume, re-running only non-completed cells.
 
 :class:`~repro.resilience.pool.WorkerPool` is the one process pool
-every parallel run uses (campaign cells, ensemble seeds, service
-batches), and :meth:`Supervisor.map <repro.resilience.supervisor.Supervisor.map>`
-the one ladder that campaign cells and service batches climb on it:
-both build their pool with ``Supervisor.pool_factory`` and retry, time
-out and restart it there.  This package depends on nothing above
-:mod:`repro.errors`.
+behind the library's two parallel paths, campaign cells and service
+batches, and :meth:`Supervisor.map <repro.resilience.supervisor.Supervisor.map>`
+the only code that submits work to it: both paths build their pool
+with ``Supervisor.pool_factory`` and retry, time out and restart it
+there, so the chaos harness reaches every pooled task.  This package
+depends on nothing above :mod:`repro.errors`.
 
 :mod:`repro.resilience.chaos` is the proof harness: seeded schedules
 that kill workers mid-flight, delay tasks past deadlines, raise

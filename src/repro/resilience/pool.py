@@ -1,20 +1,20 @@
 """The worker pool every parallel run in the library uses.
 
-One spawn-process pool type behind every ``workers > 1`` path: the
-ensemble oracle's seed fan-out, campaign cells and the scenario
-service's batches.  Callers own a pool for as long as they need it —
-one call for campaigns and ensembles, one instance for a service —
-and use only this surface:
+One spawn-process pool type behind both parallel paths: campaign
+cells (``workers > 1``) and the scenario service's batches
+(``workers >= 1``).  Callers own a pool for as long as they need it —
+one call for a campaign, one instance for a service — and use only
+this surface:
 
 - :meth:`WorkerPool.submit` — one task, returning its future;
 - :meth:`WorkerPool.kill_workers` — the deadline watchdog (SIGKILL),
   also how a pool whose executor broke is marked dead;
 - :meth:`WorkerPool.restart` / :meth:`WorkerPool.shutdown`.
 
-Campaign cells and service batches reach their pool only through
-:meth:`~repro.resilience.supervisor.Supervisor.map`, on a pool built by
-``Supervisor.pool_factory``.  The chaos harness
-(:class:`~repro.resilience.chaos.ChaosPool`) proxies exactly
+:meth:`~repro.resilience.supervisor.Supervisor.map` is the only code
+that submits to a pool, one built by ``Supervisor.pool_factory``.  The
+chaos harness (:class:`~repro.resilience.chaos.ChaosPool`) proxies
+exactly
 ``workers``/``submit``/``kill_workers``/``restart``/``broken``/``shutdown``,
 so supervised code that sticks to those runs under chaos unchanged.
 """

@@ -42,7 +42,6 @@ from repro.errors import SabreError
 from repro.sabre import softfloat_array as sfa
 from repro.sabre.assembler import Program, assemble
 from repro.sabre.bus import PERIPHERAL_BASE
-from repro.sabre.cpu import MAX_INSTRUCTION_COST
 from repro.sabre.isa import (
     Opcode,
     REGISTER_COUNT,

@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError, SabreError
 from repro.rng import make_rng
 from repro.sabre import firmware
 from repro.sabre import softfloat as sf
-from repro.sabre.batch_cpu import BatchSabreSystem, link_batch_system
+from repro.sabre.batch_cpu import link_batch_system
 from repro.sabre.loader import SabreSystem, link_system
 from repro.sabre.peripherals import pack_fpu_flags
 
@@ -395,11 +395,8 @@ def _corpus_entry(program: str):
     return builder(), port_attr
 
 
-# Both engines run in-process over shared-nothing NumPy state; neither
-# can shard across worker processes.
-run_firmware_serial.single_process = True
-run_firmware_batched.single_process = True
-
+# Both engines run in this process; repro.api refuses workers for every
+# FirmwareRequest before either is called.
 register_engine(
     "sabre",
     "model",

@@ -119,6 +119,18 @@ def fault_library() -> dict[str, FaultSpec]:
     return {spec.name: spec for spec in specs}
 
 
+def normalize_seeds(seeds) -> tuple[int, ...]:
+    """``seeds`` as a tuple of ints, refusing negative ones up front.
+
+    NumPy seeds only non-negative integers; refused here, a negative
+    seed cannot quarantine the batch or cell it would share.
+    """
+    seeds = tuple(int(s) for s in seeds)
+    if any(s < 0 for s in seeds):
+        raise ConfigurationError(f"seeds must be non-negative, got {seeds}")
+    return seeds
+
+
 def scenario_jobs(
     scenario: ScenarioSpec,
     rows: Sequence[tuple[int, tuple[Fault, ...]]],
@@ -163,9 +175,7 @@ class CampaignCell:
     fallback_hold: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "seeds", tuple(int(s) for s in self.seeds)
-        )
+        object.__setattr__(self, "seeds", normalize_seeds(self.seeds))
         if not self.seeds:
             raise ConfigurationError("a campaign cell needs seeds")
 
@@ -197,9 +207,7 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "faults", tuple(self.faults))
-        object.__setattr__(
-            self, "seeds", tuple(int(s) for s in self.seeds)
-        )
+        object.__setattr__(self, "seeds", normalize_seeds(self.seeds))
         if not self.scenarios or not self.faults or not self.seeds:
             raise ConfigurationError(
                 "a campaign needs scenarios, fault recipes and seeds"
@@ -332,7 +340,7 @@ class CampaignResult:
 
 def _run_cell(cell: CampaignCell, engine: str) -> MonteCarloSummary | None:
     """Run one cell through an ``"ensemble"`` engine; None = all diverged."""
-    return summarize_rows(resolve_engine("ensemble", engine)(cell.jobs(), 1))
+    return summarize_rows(resolve_engine("ensemble", engine)(cell.jobs()))
 
 
 def _run_cell_fast(

@@ -180,8 +180,11 @@ class SensorDropout(Fault):
     def __post_init__(self) -> None:
         _check_window(self.start, self.duration)
         _check_sensor(self.sensor, self.axes or ())
-        if not 0.0 <= self.jitter < math.inf:
-            raise ConfigurationError("jitter must be finite and >= 0")
+        # rng.uniform(-j, j) needs its range, 2 * j, to be finite.
+        if not 0.0 <= 2.0 * self.jitter < math.inf:
+            raise ConfigurationError(
+                f"jitter must be >= 0 with 2 * jitter finite, got {self.jitter}"
+            )
 
     def apply(self, streams: RunStreams, seed: int) -> None:
         start = self.start
@@ -282,8 +285,11 @@ class ClockSkew(Fault):
         _check_sensor(self.sensor)
         if not math.isfinite(self.ppm):
             raise ConfigurationError(f"ppm must be finite, got {self.ppm}")
-        if not 0.0 <= self.jitter_ppm < math.inf:
-            raise ConfigurationError("jitter_ppm must be finite and >= 0")
+        if not 0.0 <= 2.0 * self.jitter_ppm < math.inf:
+            raise ConfigurationError(
+                "jitter_ppm must be >= 0 with 2 * jitter_ppm finite, "
+                f"got {self.jitter_ppm}"
+            )
 
     def apply(self, streams: RunStreams, seed: int) -> None:
         ppm = self.ppm

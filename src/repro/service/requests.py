@@ -39,7 +39,7 @@ from repro.errors import ConfigurationError
 from repro.fusion import BoresightConfig
 from repro.geometry import EulerAngles
 from repro.scenarios.cache import canonical_digest
-from repro.scenarios.campaign import FaultSpec, scenario_jobs
+from repro.scenarios.campaign import FaultSpec, normalize_seeds, scenario_jobs
 from repro.scenarios.faults import Fault, SensorDropout
 from repro.scenarios.spec import ScenarioSpec
 
@@ -77,9 +77,7 @@ class ScenarioRequest:
     acc_dropout: tuple[tuple[int, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "seeds", tuple(int(s) for s in self.seeds)
-        )
+        object.__setattr__(self, "seeds", normalize_seeds(self.seeds))
         if not self.seeds:
             raise ConfigurationError("a scenario request needs seeds")
         if len(set(self.seeds)) != len(self.seeds):

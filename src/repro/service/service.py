@@ -222,7 +222,7 @@ class ScenarioService:
         self.metrics.serial_fallback_batches += 1
         oracle = resolve_engine("ensemble", "model")
         fallback = supervisor.run(
-            lambda: oracle(jobs, 1),
+            lambda: oracle(jobs),
             label="serial-batch",
             enforce_deadline=False,
         )
@@ -364,10 +364,7 @@ def run_requests_serial(
             "use workers=1 (pool execution belongs to engine='fast')"
         )
     oracle = resolve_engine("ensemble", "model")
-    return [summarize_rows(oracle(request.jobs(), 1)) for request in requests]
-
-
-run_requests_serial.single_process = True
+    return [summarize_rows(oracle(request.jobs())) for request in requests]
 
 
 @register_engine(

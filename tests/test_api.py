@@ -5,9 +5,10 @@ The api_redesign regression surface: the legacy entry points
 ``run_campaign``) are now thin shims over :func:`repro.api.execute`,
 and these tests pin old-vs-new **bit-identity** — the refactor must
 be invisible to every existing caller — plus the normalized execution
-knobs (``engine=``, ``workers=``, ``cache=``), which are all checked
-before any side effect.  The seed-block size is not a knob: tests
-that stream small blocks patch the arena's ``CHUNK_SIZE``.
+knobs (``engine=``, ``workers=``, ``cache=``, ``supervisor=``,
+``journal=``), which are all checked before any side effect.  The
+seed-block size is not a knob: tests that stream small blocks patch
+the arena's ``CHUNK_SIZE``.
 """
 
 import gc
@@ -22,6 +23,8 @@ from repro.analysis.montecarlo import (
 )
 from repro.api import execute
 from repro.errors import ConfigurationError
+from repro.resilience import Supervisor
+from repro.sabre.harness import FirmwareRequest
 from repro.scenarios.cache import CampaignCache
 from repro.scenarios.campaign import (
     CampaignSpec,
@@ -115,6 +118,26 @@ class TestKnobUniformity:
             execute(request, engine="model", workers=0)
         with pytest.raises(ConfigurationError, match="one process"):
             execute(request, engine="fast", workers=2)
+
+    @pytest.mark.parametrize("knob", ["workers", "supervisor", "journal"])
+    @pytest.mark.parametrize(
+        "single",
+        [
+            ScenarioRequest(scenario=BENCH, seeds=(300,)),
+            FirmwareRequest(program="echo", instances=2, packets=2),
+        ],
+        ids=["scenario", "firmware"],
+    )
+    def test_non_campaign_requests_refuse_campaign_knobs(
+        self, tmp_path, single, knob
+    ):
+        # One rule, before any work: workers, supervisor and journal
+        # belong to campaign grids.
+        path = tmp_path / "j.jsonl"
+        value = {"workers": 2, "supervisor": Supervisor(), "journal": path}
+        with pytest.raises(ConfigurationError, match="single-process"):
+            execute(single, **{knob: value[knob]})
+        assert not path.exists()
 
 
 class TestLegacyShimFidelity:

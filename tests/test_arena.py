@@ -170,6 +170,8 @@ class TestSummarizeRows:
         summary = summarize_rows(rows)
         # MonteCarloSummary.__eq__ is exact (array_equal, not allclose).
         assert summary == summarize_outcomes(outcomes, diverged_seeds=(12, 5))
+        # A foreign type is not equal (__eq__ returns NotImplemented).
+        assert summary != "not a summary"
         assert summary.diverged_seeds == (12, 5)
         assert summary.runs == 5
 
@@ -214,7 +216,7 @@ def _rows_at_block(jobs, block=None):
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
             patch.setattr(repro.experiments.arena, "CHUNK_SIZE", block)
-        return run_lockstep_jobs(jobs, 1)
+        return run_lockstep_jobs(jobs)
 
 
 def _assert_rows_equal(rows, oracle, label):
@@ -231,7 +233,7 @@ def _assert_rows_equal(rows, oracle, label):
 class TestChunkBoundaryBitIdentity:
     def test_every_chunking_matches_the_serial_oracle(self):
         jobs = _static_jobs(5)
-        oracle = resolve_engine("ensemble", "model")(jobs, 1)
+        oracle = resolve_engine("ensemble", "model")(jobs)
         assert summarize_rows(oracle).anees is not None
         # Blocks of 1, an uneven 2+2+1 split, R, and the unpatched size.
         for block in (1, 2, 5, None):
@@ -282,7 +284,7 @@ class TestFaultedCampaignCellChunking:
             seeds=(910, 911, 912),
         )
         jobs = cell.jobs()
-        oracle = resolve_engine("ensemble", "model")(jobs, 1)
+        oracle = resolve_engine("ensemble", "model")(jobs)
         # Blocks of 1, an uneven 2+1 split and R.
         for block in (1, 2, 3):
             rows = _rows_at_block(jobs, block)
@@ -323,7 +325,7 @@ class TestMixedChainRows:
         self, scenario_name
     ):
         jobs = _mixed_chain_jobs(scenario_name)
-        oracle = resolve_engine("ensemble", "model")(jobs, 1)
+        oracle = resolve_engine("ensemble", "model")(jobs)
         # A seed's rows differ when its chain does.
         assert not np.array_equal(oracle[0][1][0], oracle[1][1][0])
         for block in (1, 2, 6):

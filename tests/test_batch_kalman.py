@@ -363,8 +363,6 @@ class TestMonteCarloFastEngine:
     def test_engine_validation(self):
         with pytest.raises(ConfigurationError):
             run_monte_carlo_static(runs=1, engine="warp9")
-        with pytest.raises(ConfigurationError):
-            run_monte_carlo_static(runs=2, engine="fast", workers=2)
 
     def test_batch_estimator_supports_every_serial_feature(self):
         # Motion gating is batched (per-run masks) since the dynamic

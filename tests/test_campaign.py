@@ -150,6 +150,16 @@ class TestCampaignSpecValidation:
                 faults=(fault,),
                 seeds=(1, 1),
             )
+        # A negative seed would quarantine its whole cell at run time.
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            CampaignSpec(
+                name="c",
+                scenarios=(scenario,),
+                faults=(fault,),
+                seeds=(5, -1),
+            )
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            CampaignCell(scenario=scenario, fault=fault, seeds=(-1,))
 
     def test_cell_needs_seeds(self):
         with pytest.raises(ConfigurationError):

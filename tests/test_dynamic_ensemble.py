@@ -168,20 +168,9 @@ class TestMonteCarloDynamicFastEngine:
         fixed = run_monte_carlo_dynamic(engine="fast", **MC_KWARGS)
         assert fast != fixed
 
-    def test_workers_match_serial(self):
-        # Satellite regression: process-parallel dynamic summaries are
-        # bit-identical to the in-process serial engine.
-        serial = run_monte_carlo_dynamic(workers=1, **MC_KWARGS)
-        parallel = run_monte_carlo_dynamic(workers=2, **MC_KWARGS)
-        assert serial == parallel
-
     def test_engine_validation(self):
         with pytest.raises(ConfigurationError):
             run_monte_carlo_dynamic(runs=1, engine="warp9")
-        with pytest.raises(ConfigurationError):
-            run_monte_carlo_dynamic(runs=2, engine="fast", workers=2)
-        with pytest.raises(ConfigurationError):
-            run_monte_carlo_dynamic(runs=2, workers=0)
 
     @pytest.mark.parametrize("dropout_time", [55.0, 0.0])
     def test_all_seeds_diverging_raises(self, dropout_time):

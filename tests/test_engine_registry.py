@@ -15,6 +15,7 @@ Two halves:
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -287,6 +288,51 @@ class TestRegistryMechanics:
         assert params == []
         assert flags == []
         assert assigned == ["experiments/arena.py"]
+
+    def test_one_home_for_process_parallelism(self):
+        # Process parallelism is a campaign knob: only the resilience
+        # layer touches the pool type, no ensemble entry point takes
+        # workers, and only the campaign oracle flags itself
+        # single-process (the façade refuses workers for every other
+        # request type).
+        from repro.analysis.montecarlo import (
+            run_monte_carlo_dynamic,
+            run_monte_carlo_static,
+        )
+
+        pool_users, flagged = [], []
+        for path in sorted(SRC.rglob("*.py")):
+            where = str(path.relative_to(SRC))
+            for node in ast.walk(ast.parse(path.read_text())):
+                imported = []
+                if isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    imported = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                named = {getattr(node, f, None) for f in ("id", "attr", "name")}
+                if path.parent.name != "resilience" and (
+                    "repro.resilience.pool" in imported or "WorkerPool" in named
+                ):
+                    pool_users.append(where)
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and node.attr == "single_process"
+                ):
+                    flagged.append(where)
+        assert pool_users == []
+        entry_points = [
+            resolve_engine("ensemble", name)
+            for name in engine_names("ensemble")
+        ] + [run_monte_carlo_static, run_monte_carlo_dynamic]
+        assert [
+            f.__name__
+            for f in entry_points
+            if "workers" in inspect.signature(f).parameters
+        ] == []
+        assert flagged == ["scenarios/campaign.py"]
 
     def test_divergence_is_reported_in_one_place(self):
         # Every summary comes from summarize_rows; only execute() turns

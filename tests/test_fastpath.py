@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import run_monte_carlo_static
 from repro.errors import (
     ConfigurationError,
     EngineError,
@@ -451,20 +450,3 @@ class TestStabilizerEngines:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
             VideoStabilizer(self.CAMERA, engine="warp9")
-
-
-class TestMonteCarloParallel:
-    def test_parallel_matches_serial(self):
-        kwargs = dict(runs=2, duration=80.0, dwell_time=6.0, slew_time=2.0)
-        serial = run_monte_carlo_static(workers=1, **kwargs)
-        parallel = run_monte_carlo_static(workers=2, **kwargs)
-        assert np.array_equal(serial.rms_error_deg, parallel.rms_error_deg)
-        assert np.array_equal(serial.max_error_deg, parallel.max_error_deg)
-        assert serial.coverage_3sigma == parallel.coverage_3sigma
-        assert serial.mean_exceedance == parallel.mean_exceedance
-        assert serial == parallel
-        assert serial != "not a summary"
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ConfigurationError):
-            run_monte_carlo_static(runs=1, workers=0)

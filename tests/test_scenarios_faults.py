@@ -216,9 +216,16 @@ class TestFaultMechanics:
             lambda: DriftRamp(rate=nan),
             lambda: DriftRamp(rate=inf),
             lambda: SensorDropout(jitter=inf),
+            # rng.uniform(-j, j) overflows once 2 * j does.
+            lambda: SensorDropout(start=1.0, duration=1.0, jitter=1e308),
+            lambda: ClockSkew(jitter_ppm=1e308),
         ):
             with pytest.raises(ConfigurationError, match="finite"):
                 build()
+        SensorDropout(start=1.0, duration=1.0, jitter=1e300).apply(
+            _streams(), 1
+        )
+        ClockSkew(jitter_ppm=1e300).apply(_streams(), 1)
         # Axis indices must exist on the sensor (ACC has two axes, the
         # IMU triads three); a negative index would wrap silently.
         for build in (

@@ -133,6 +133,11 @@ class TestRequestContract:
             ScenarioRequest(scenario=BENCH, seeds=())
         with pytest.raises(ConfigurationError, match="distinct"):
             ScenarioRequest(scenario=BENCH, seeds=(1, 1))
+        # NumPy refuses a negative seed; caught here, it cannot
+        # quarantine the valid requests of the batch it would join.
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            ScenarioRequest(scenario=BENCH, seeds=(1, -1))
+        assert ScenarioRequest(scenario=BENCH, seeds=(2**64,)).seeds == (2**64,)
 
     def test_dropout_schedule_validated(self):
         with pytest.raises(ConfigurationError, match="not in the request"):
