@@ -174,8 +174,9 @@ class EnsembleJob:
 
     The typed job payload both ``"ensemble"`` engines take: everything
     a run needs to reproduce it bit-for-bit from the seed alone.
-    Campaign cells and service requests build theirs through
-    :func:`repro.scenarios.campaign.scenario_jobs`.
+    Every job is built by :func:`repro.scenarios.spec.scenario_jobs`,
+    from a :class:`~repro.scenarios.spec.ScenarioRequest` — a campaign
+    cell, a service request or one of the ensemble shims below.
     """
 
     seed: int
@@ -284,18 +285,17 @@ def run_monte_carlo_static(
     :class:`~repro.fusion.boresight.BoresightConfig.fallback_hold`).
 
     This is a thin shim over :func:`repro.api.execute` — the ensemble
-    is phrased as a :class:`~repro.service.requests.ScenarioRequest`
+    is phrased as a :class:`~repro.scenarios.spec.ScenarioRequest`
     and executed through the façade, so the uniform ``cache`` knob
     applies: a :class:`~repro.scenarios.cache.CampaignCache` serves
     bit-exact repeats without recomputing.  Dispatch runs through the
     ``"ensemble"`` domain of :mod:`repro.engines`; any further
     registered backend is selectable by name.
     """
-    # Imported lazily: repro.api sits on top of this module.
+    # Imported lazily: repro.api and repro.scenarios.spec sit on top
+    # of this module.
     from repro.api import execute
-    from repro.scenarios.campaign import FaultSpec
-    from repro.scenarios.spec import ScenarioSpec
-    from repro.service.requests import ScenarioRequest
+    from repro.scenarios.spec import FaultSpec, ScenarioRequest, ScenarioSpec
 
     scenario = ScenarioSpec(
         name="static_ensemble",
@@ -370,11 +370,10 @@ def run_monte_carlo_dynamic(
     Like :func:`run_monte_carlo_static`, this is a thin shim over
     :func:`repro.api.execute` with the uniform ``cache`` knob.
     """
-    # Imported lazily: repro.api sits on top of this module.
+    # Imported lazily: repro.api and repro.scenarios.spec sit on top
+    # of this module.
     from repro.api import execute
-    from repro.scenarios.campaign import FaultSpec
-    from repro.scenarios.spec import ScenarioSpec
-    from repro.service.requests import ScenarioRequest
+    from repro.scenarios.spec import FaultSpec, ScenarioRequest, ScenarioSpec
 
     scenario = ScenarioSpec(
         name="dynamic_ensemble",

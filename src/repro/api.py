@@ -3,7 +3,7 @@
 One front door over every execution path the library grew: build a
 typed request, call :func:`execute`, get a typed result.
 
-- a :class:`~repro.service.requests.ScenarioRequest` routes to the
+- a :class:`~repro.scenarios.spec.ScenarioRequest` routes to the
   ``"ensemble"`` engine domain (the serial per-seed oracle or the
   chunked lockstep path) and returns a
   :class:`~repro.service.requests.ScenarioResult`;
@@ -66,7 +66,8 @@ from repro.scenarios.campaign import (
     CampaignSpec,
     _run_cells_supervised,
 )
-from repro.service.requests import ScenarioRequest, ScenarioResult
+from repro.scenarios.spec import ScenarioRequest
+from repro.service.requests import ScenarioResult
 
 __all__ = [
     "CampaignResult",
@@ -141,7 +142,7 @@ def execute(
     engine, store the result and build the result record.  Scenario
     and firmware requests are cached whole; campaigns are cached per
     cell, under the supervisor.  A
-    :class:`~repro.service.requests.ScenarioRequest` whose every seed
+    :class:`~repro.scenarios.spec.ScenarioRequest` whose every seed
     diverges raises :class:`~repro.errors.ConfigurationError` here,
     before anything is cached, and so does a cache hit holding that
     verdict (the legacy ensemble behavior — the service and campaign

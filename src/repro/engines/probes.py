@@ -480,13 +480,9 @@ register_probe("ensemble", "fast")(_ensemble_probe("fast"))
 
 def _campaign_probe(name: str):
     def probe(seed: int) -> dict:
-        from repro.scenarios.campaign import (
-            CampaignSpec,
-            FaultSpec,
-            run_campaign,
-        )
+        from repro.scenarios.campaign import CampaignSpec, run_campaign
         from repro.scenarios.faults import SensorDropout
-        from repro.scenarios.spec import ScenarioSpec
+        from repro.scenarios.spec import FaultSpec, ScenarioSpec
 
         base = 300 + (seed % 97)
         spec = CampaignSpec(
@@ -549,10 +545,8 @@ register_probe("campaign", "fast")(_campaign_probe("fast"))
 
 def _service_probe(name: str):
     def probe(seed: int) -> dict:
-        from repro.scenarios.campaign import FaultSpec
         from repro.scenarios.faults import SensorDropout
-        from repro.scenarios.spec import ScenarioSpec
-        from repro.service.requests import ScenarioRequest
+        from repro.scenarios.spec import FaultSpec, ScenarioRequest, ScenarioSpec
 
         base = 300 + (seed % 97)
         bench = ScenarioSpec(

@@ -32,8 +32,8 @@ convention first-class:
   :class:`~repro.errors.EngineError` (a ``ConfigurationError``)
   listing what exists.
 
-- **Probes.**  Each registration carries (or later attaches, via
-  :func:`register_probe`) a *probe*: ``probe(seed) -> payload``, a
+- **Probes.**  Each registration attaches, via
+  :func:`register_probe`, a *probe*: ``probe(seed) -> payload``, a
   callable that drives the engine through a standard seeded scenario
   and returns a comparable payload.  The equivalence harness asserts
   ``probe_fast(seed) == probe_oracle(seed)`` bit-for-bit for every
@@ -128,7 +128,6 @@ def register_engine(
     oracle: bool = False,
     bit_exact: bool = True,
     description: str = "",
-    probe: Callable[[int], Any] | None = None,
 ) -> Callable[[Any], Any]:
     """Decorator registering an engine implementation.
 
@@ -160,7 +159,6 @@ def register_engine(
             oracle=oracle,
             bit_exact=bit_exact,
             description=description,
-            probe=probe,
         )
         return obj
 
@@ -185,10 +183,6 @@ def register_probe(domain: str, name: str) -> Callable[[Callable], Callable]:
         return fn
 
     return _attach
-
-
-def _declared_names(domain: str) -> list[str]:
-    return [n for (d, n) in _BUILTIN_MODULES if d == domain]
 
 
 def _load(domain: str, name: str | None = None) -> None:
@@ -304,7 +298,7 @@ def get_probe(domain: str, engine: str) -> Callable[[int], Any]:
     if spec.probe is None:
         raise EngineError(
             f"engine {domain!r}/{engine!r} has no equivalence probe; "
-            "register one with register_probe (or the probe= keyword) "
+            "register one with register_probe "
             "so the registry harness can verify it against the oracle"
         )
     return spec.probe

@@ -9,11 +9,14 @@ Three layers:
 - :mod:`repro.scenarios.spec` — the :class:`ScenarioSpec` DSL over
   ``vehicle/profiles`` plus the built-in scenario library (highway,
   mountain switchbacks, stop-and-go, off-road vibration, thermal
-  ramps, ...);
+  ramps, ...), the :class:`FaultSpec` recipe and the
+  :class:`ScenarioRequest` unit of work (scenario × recipe × seeds)
+  that campaigns, :func:`repro.api.execute` and the service all run;
 - :mod:`repro.scenarios.campaign` — ``run_campaign``: scenario × fault
-  × seed grids executed through the ``"campaign"`` engine pair
-  (serial-cell oracle vs lockstep cells, optionally sharded over
-  worker processes), classified into a degradation report.
+  × seed grids, one request per cell, executed through the
+  ``"campaign"`` engine pair (serial-cell oracle vs lockstep cells,
+  optionally sharded over worker processes), classified into a
+  degradation report.
 
 Attribute access is lazy (PEP 562): the protocol layer imports
 ``repro.scenarios.faults`` while the campaign layer imports the
@@ -35,12 +38,12 @@ _EXPORTS = {
     "apply_faults": "repro.scenarios.faults",
     "fault_rng": "repro.scenarios.faults",
     "ScenarioSpec": "repro.scenarios.spec",
+    "FaultSpec": "repro.scenarios.spec",
+    "ScenarioRequest": "repro.scenarios.spec",
     "scenario_library": "repro.scenarios.spec",
     "CampaignCache": "repro.scenarios.cache",
     "canonical_digest": "repro.scenarios.cache",
-    "FaultSpec": "repro.scenarios.campaign",
     "CampaignSpec": "repro.scenarios.campaign",
-    "CampaignCell": "repro.scenarios.campaign",
     "CampaignResult": "repro.scenarios.campaign",
     "fault_library": "repro.scenarios.campaign",
     "smoke_campaign_spec": "repro.scenarios.campaign",

@@ -1,12 +1,16 @@
-"""Content-addressed caching of campaign cell results.
+"""Content-addressed caching of scenario request results.
 
-A campaign cell is a pure function of its inputs: the scenario spec,
-the fault recipe and the seed list fully determine the cell's
+A :class:`~repro.scenarios.spec.ScenarioRequest` — a campaign cell, a
+request to :func:`repro.api.execute` or to the scenario service — is a
+pure function of its inputs: the scenario spec, the fault recipe, the
+seed list and the request's extras fully determine its
 :class:`~repro.analysis.montecarlo.MonteCarloSummary` (the engines are
 bit-identical across implementations and worker counts, so the engine
-choice is deliberately *not* part of the key).  That makes cell
-results safe to memoize — re-running a campaign after editing one
-scenario re-executes only the cells whose inputs actually changed.
+choice is deliberately *not* part of the key).  That makes results
+safe to memoize — re-running a campaign after editing one scenario
+re-executes only the cells whose inputs actually changed, and a
+request a campaign already computed is a hit for ``execute`` and the
+service too.
 
 The cache key is a **canonical digest**: the cell's dataclass tree is
 lowered to a tagged token stream (type names, field names, and
@@ -111,13 +115,14 @@ def canonical_digest(value) -> str:
 
 
 class CampaignCache:
-    """Memo of campaign cell summaries keyed by digest, optionally on disk.
+    """Memo of request summaries keyed by digest, optionally on disk.
 
     Lookup is by :func:`canonical_digest` of the keyed value (a
-    :class:`~repro.scenarios.campaign.CampaignCell`, a service
-    :class:`~repro.service.requests.ScenarioRequest` — any dataclass
-    tree the canonicalizer accepts), so a hit is only possible when
-    every field of the tree is identical down to the bit.  ``None``
+    :class:`~repro.scenarios.spec.ScenarioRequest` — campaign cell,
+    :func:`~repro.api.execute` request or service admission alike — a
+    :class:`~repro.sabre.harness.FirmwareRequest`, any dataclass tree
+    the canonicalizer accepts), so a hit is only possible when every
+    field of the tree is identical down to the bit.  ``None``
     summaries (every seed diverged) are cached too — divergence is as
     deterministic as convergence.
 

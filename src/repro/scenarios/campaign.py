@@ -2,12 +2,12 @@
 
 A campaign crosses a scenario corpus (:mod:`repro.scenarios.spec`)
 with a set of named fault recipes and a seed list.  Every *cell* of
-the grid is one Monte-Carlo ensemble — the same
-:class:`~repro.analysis.montecarlo.EnsembleJob` contract the ensemble
-engines already share — run with the cell's faults injected and the
-degradation ladder armed, and summarized into the usual
-:class:`~repro.analysis.montecarlo.MonteCarloSummary` (plus its
-per-run ``fallback_states``).
+the grid is a :class:`~repro.scenarios.spec.ScenarioRequest` — the
+same unit of work :func:`repro.api.execute` and the scenario service
+run, so all three share cache entries — executed with the cell's
+faults injected and the degradation ladder armed, and summarized into
+the usual :class:`~repro.analysis.montecarlo.MonteCarloSummary` (plus
+its per-run ``fallback_states``).
 
 Execution goes through the ``"campaign"`` engine pair, always under
 a :class:`~repro.resilience.Supervisor` (retry, backoff, deadline,
@@ -39,48 +39,30 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from repro.analysis.montecarlo import (
-    EnsembleJob,
-    MonteCarloSummary,
-    summarize_rows,
-)
+from repro.analysis.montecarlo import MonteCarloSummary, summarize_rows
 from repro.engines import register_engine, resolve_engine
 from repro.errors import ConfigurationError
-from repro.experiments.table1 import DEFAULT_MISALIGNMENT
-from repro.fusion import BoresightConfig
-from repro.geometry import EulerAngles
 from repro.resilience.journal import CampaignJournal
 from repro.resilience.supervisor import SupervisedOutcome, Supervisor
 from repro.scenarios.cache import CampaignCache, canonical_digest
 from repro.scenarios.faults import (
     CanBusErrorStorm,
     ClockSkew,
-    Fault,
     FaultMatrix,
     LossyLinkBurst,
     SensorDropout,
     StuckAxis,
 )
-from repro.scenarios.spec import ScenarioSpec, scenario_library
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """A named, ordered fault recipe a campaign injects into a cell."""
-
-    name: str
-    faults: tuple[Fault, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "faults", tuple(self.faults))
-        for fault in self.faults:
-            if not isinstance(fault, Fault):
-                raise ConfigurationError(
-                    f"faults must be Fault instances, got "
-                    f"{type(fault).__name__}"
-                )
+from repro.scenarios.spec import (
+    FaultSpec,
+    ScenarioRequest,
+    ScenarioSpec,
+    normalize_seeds,
+    require_type,
+    scenario_library,
+)
 
 
 def fault_library() -> dict[str, FaultSpec]:
@@ -119,79 +101,6 @@ def fault_library() -> dict[str, FaultSpec]:
     return {spec.name: spec for spec in specs}
 
 
-def normalize_seeds(seeds) -> tuple[int, ...]:
-    """``seeds`` as a tuple of ints, refusing negative ones up front.
-
-    NumPy seeds only non-negative integers; refused here, a negative
-    seed cannot quarantine the batch or cell it would share.
-    """
-    seeds = tuple(int(s) for s in seeds)
-    if any(s < 0 for s in seeds):
-        raise ConfigurationError(f"seeds must be non-negative, got {seeds}")
-    return seeds
-
-
-def scenario_jobs(
-    scenario: ScenarioSpec,
-    rows: Sequence[tuple[int, tuple[Fault, ...]]],
-    misalignment: EulerAngles,
-    estimator_config: BoresightConfig,
-) -> list[EnsembleJob]:
-    """One :class:`EnsembleJob` per ``(seed, fault chain)`` row, in order.
-
-    The one place jobs are built, for campaign cells and service
-    requests alike.  The trajectory is materialized once and, like
-    the other payloads, shared by identity, as the lockstep engine
-    requires.
-    """
-    trajectory = scenario.build_trajectory()
-    return [
-        EnsembleJob(
-            seed=seed,
-            trajectory=trajectory,
-            misalignment=misalignment,
-            estimator_config=estimator_config,
-            moving=scenario.moving,
-            faults=chain,
-            vibration=scenario.vibration,
-        )
-        for seed, chain in rows
-    ]
-
-
-@dataclass(frozen=True)
-class CampaignCell:
-    """One (scenario, fault recipe, seed list) grid cell, picklable.
-
-    The unit the campaign engines execute: everything a worker shard
-    needs to rebuild the cell's :class:`EnsembleJob` list from scratch
-    (trajectories are materialized inside the worker, not pickled).
-    """
-
-    scenario: ScenarioSpec
-    fault: FaultSpec
-    seeds: tuple[int, ...]
-    #: Arm the dead-reckoning rung of the degradation ladder.
-    fallback_hold: bool = True
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", normalize_seeds(self.seeds))
-        if not self.seeds:
-            raise ConfigurationError("a campaign cell needs seeds")
-
-    def jobs(self) -> list[EnsembleJob]:
-        """The cell's ensemble jobs: scenario faults, then recipe faults."""
-        chain = self.scenario.faults + self.fault.faults
-        return scenario_jobs(
-            self.scenario,
-            [(seed, chain) for seed in self.seeds],
-            DEFAULT_MISALIGNMENT,
-            self.scenario.build_estimator_config(
-                fallback_hold=self.fallback_hold
-            ),
-        )
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """A full campaign grid: scenarios × fault recipes × seeds."""
@@ -212,22 +121,25 @@ class CampaignSpec:
             raise ConfigurationError(
                 "a campaign needs scenarios, fault recipes and seeds"
             )
-        for label, names in (
-            ("scenario", [s.name for s in self.scenarios]),
-            ("fault recipe", [f.name for f in self.faults]),
+        for label, items, kind in (
+            ("scenario", self.scenarios, ScenarioSpec),
+            ("fault recipe", self.faults, FaultSpec),
         ):
+            for item in items:
+                require_type(f"each {label}", item, kind)
+            names = [item.name for item in items]
             if len(set(names)) != len(names):
                 raise ConfigurationError(f"duplicate {label} names: {names}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("campaign seeds must be distinct")
 
-    def cells(self) -> tuple[CampaignCell, ...]:
-        """The grid in scenario-major, fault-minor order."""
+    def cells(self) -> tuple[ScenarioRequest, ...]:
+        """The grid's requests in scenario-major, fault-minor order."""
         return tuple(
-            CampaignCell(
+            ScenarioRequest(
                 scenario=scenario,
-                fault=fault,
                 seeds=self.seeds,
+                fault=fault,
                 fallback_hold=self.fallback_hold,
             )
             for scenario in self.scenarios
@@ -281,7 +193,7 @@ class CampaignResult:
     """
 
     spec: CampaignSpec
-    cells: tuple[CampaignCell, ...]
+    cells: tuple[ScenarioRequest, ...]
     summaries: tuple[MonteCarloSummary | None, ...]
     statuses: tuple[str, ...] = ()
     cell_faults: tuple[str | None, ...] = ()
@@ -338,13 +250,13 @@ class CampaignResult:
         return {"name": self.spec.name, "cells": cells}
 
 
-def _run_cell(cell: CampaignCell, engine: str) -> MonteCarloSummary | None:
+def _run_cell(cell: ScenarioRequest, engine: str) -> MonteCarloSummary | None:
     """Run one cell through an ``"ensemble"`` engine; None = all diverged."""
     return summarize_rows(resolve_engine("ensemble", engine)(cell.jobs()))
 
 
 def _run_cell_fast(
-    cell: CampaignCell, _unused=None
+    cell: ScenarioRequest, _unused=None
 ) -> MonteCarloSummary | None:
     """Module-level pool task (spawn must pickle it by name).
 
@@ -368,7 +280,7 @@ class _CellRun:
 
     def __init__(
         self,
-        cells: list[CampaignCell],
+        cells: list[ScenarioRequest],
         supervisor: Supervisor,
         journal: CampaignJournal | None,
         cache: CampaignCache | None,
@@ -414,7 +326,7 @@ class _CellRun:
             self.pending.append(index)
 
     @property
-    def pending_cells(self) -> list[CampaignCell]:
+    def pending_cells(self) -> list[ScenarioRequest]:
         """The cells left to execute, in grid order."""
         return [self.cells[index] for index in self.pending]
 
@@ -518,7 +430,7 @@ def run_campaign_cells_sharded(run: _CellRun, workers: int = 1) -> None:
 
 
 def _run_cells_supervised(
-    cells: list[CampaignCell],
+    cells: list[ScenarioRequest],
     *,
     engine: str = "fast",
     workers: int = 1,
@@ -623,41 +535,26 @@ def run_campaign(
     )
 
 
-def matrix_fault_specs(matrix: FaultMatrix) -> dict[int, FaultSpec]:
-    """A fault matrix's per-seed recipes as campaign ``FaultSpec``s.
-
-    Recipe names embed the matrix name and seed
-    (``"<matrix>/seed<k>"``), so specs from different seeds or
-    matrices never collide in a campaign's duplicate-name check.
-    """
-    return {
-        seed: FaultSpec(
-            name=f"{matrix.name}/seed{seed}", faults=recipe
-        )
-        for seed, recipe in matrix.recipes
-    }
-
-
 def matrix_campaign_cells(
     scenario: ScenarioSpec,
     matrix: FaultMatrix,
     fallback_hold: bool = True,
-) -> tuple[CampaignCell, ...]:
+) -> tuple[ScenarioRequest, ...]:
     """One single-seed cell per matrix entry, in matrix order.
 
     The per-seed shape is the point of a sampled matrix — every seed
     carries its *own* drawn recipe, so cells cannot share a fault spec
-    the way grid campaigns do.  The cells are plain
-    :class:`CampaignCell`\\ s: digestible, cacheable, journal-able and
-    valid under every campaign engine.
+    the way grid campaigns do.  Recipe names embed the matrix name and
+    seed (``"<matrix>/seed<k>"``), so recipes from different seeds or
+    matrices never collide.  The cells are plain requests: digestible,
+    cacheable, journal-able and valid under every campaign engine.
     """
-    specs = matrix_fault_specs(matrix)
     return tuple(
-        CampaignCell(
+        ScenarioRequest(
             scenario=scenario,
-            fault=specs[seed],
             seeds=(seed,),
+            fault=FaultSpec(name=f"{matrix.name}/seed{seed}", faults=recipe),
             fallback_hold=fallback_hold,
         )
-        for seed, _ in matrix.recipes
+        for seed, recipe in matrix.recipes
     )

@@ -24,14 +24,15 @@ under the automatic oracle harness.
 
 Library users who want one blocking call instead of an asyncio
 session should use :func:`repro.api.execute`; the service shares its
-request/response types.
+request/response types.  The request type itself lives in
+:mod:`repro.scenarios.spec`, because a campaign cell is one too: a
+request a campaign or ``execute`` computed is a cache hit here.
 """
 
+from repro.scenarios.spec import NOMINAL_FAULT, ScenarioRequest
 from repro.service.batcher import DynamicBatcher
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import (
-    NOMINAL_FAULT,
-    ScenarioRequest,
     ScenarioResult,
     coalesce_requests,
     summarize_request,

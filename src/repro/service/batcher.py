@@ -2,7 +2,7 @@
 
 The :class:`DynamicBatcher` is the service's waiting room: pending
 requests accumulate per compatibility group (the
-:meth:`~repro.service.requests.ScenarioRequest.group_key`) and a group
+:meth:`~repro.scenarios.spec.ScenarioRequest.group_key`) and a group
 flushes to the service's flush callback as one batch when it reaches
 ``max_batch_size`` — or when ``max_wait`` elapses since the group's
 first entry, whichever comes first.  Size-triggered flushes give full

@@ -1,7 +1,7 @@
 """The asyncio scenario-execution service and its registered engines.
 
 :class:`ScenarioService` is the tentpole: an asyncio front door that
-accepts many concurrent :class:`~repro.service.requests.ScenarioRequest`\\ s
+accepts many concurrent :class:`~repro.scenarios.spec.ScenarioRequest`\\ s
 and serves each a :class:`~repro.service.requests.ScenarioResult`
 whose summary is **bit-identical** to running that request alone
 through the serial oracle.  The request lifecycle:
@@ -52,11 +52,11 @@ from repro.errors import ConfigurationError
 from repro.experiments.arena import StateArena
 from repro.resilience.supervisor import Supervisor
 from repro.scenarios.cache import CampaignCache
+from repro.scenarios.spec import ScenarioRequest
 from repro.service.batcher import DynamicBatcher, PendingRequest
 from repro.service.executor import run_jobs_inline
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import (
-    ScenarioRequest,
     ScenarioResult,
     coalesce_requests,
     summarize_request,

@@ -274,14 +274,15 @@ class TestChunkBoundaryBitIdentity:
 @pytest.mark.slow
 class TestFaultedCampaignCellChunking:
     def test_faulted_cell_across_chunk_boundaries(self):
-        from repro.scenarios.campaign import CampaignCell, fault_library
-        from repro.scenarios.spec import scenario_library
+        from repro.scenarios.campaign import fault_library
+        from repro.scenarios.spec import ScenarioRequest, scenario_library
 
         scenario = scenario_library()["highway"]
-        cell = CampaignCell(
+        cell = ScenarioRequest(
             scenario=scenario,
             fault=fault_library()["acc_dropout_window"],
             seeds=(910, 911, 912),
+            fallback_hold=True,
         )
         jobs = cell.jobs()
         oracle = resolve_engine("ensemble", "model")(jobs)
@@ -294,9 +295,9 @@ class TestFaultedCampaignCellChunking:
 def _mixed_chain_jobs(scenario_name: str) -> list[EnsembleJob]:
     """Six rows of one scenario, each with its own fault chain."""
     from repro.experiments.table1 import DEFAULT_MISALIGNMENT
-    from repro.scenarios.campaign import fault_library, scenario_jobs
+    from repro.scenarios.campaign import fault_library
     from repro.scenarios.faults import SensorDropout
-    from repro.scenarios.spec import scenario_library
+    from repro.scenarios.spec import scenario_jobs, scenario_library
 
     recipes = fault_library()
     scenario = scenario_library()[scenario_name]

@@ -36,15 +36,16 @@ from repro.resilience import (
 )
 from repro.scenarios.cache import canonical_digest
 from repro.scenarios.campaign import (
-    CampaignCell,
     CampaignSpec,
     FaultSpec,
     fault_library,
     run_campaign,
     smoke_campaign_spec,
 )
+from repro.scenarios.faults import SensorDropout
 from repro.scenarios.spec import (
     PROFILE_BUILDERS,
+    ScenarioRequest,
     ScenarioSpec,
     scenario_library,
 )
@@ -159,11 +160,22 @@ class TestCampaignSpecValidation:
                 seeds=(5, -1),
             )
         with pytest.raises(ConfigurationError, match="non-negative"):
-            CampaignCell(scenario=scenario, fault=fault, seeds=(-1,))
+            ScenarioRequest(scenario=scenario, fault=fault, seeds=(-1,))
+
+    def test_axis_element_types_enforced(self):
+        scenario = ScenarioSpec(name="s", profile="highway")
+        dropout = SensorDropout(sensor="acc", start=45.0, duration=10.0)
+        for kwargs in (
+            dict(scenarios=(scenario,), faults=(dropout,)),
+            dict(scenarios=(scenario,), faults=((dropout,),)),
+            dict(scenarios=("highway",), faults=(FaultSpec(name="f"),)),
+        ):
+            with pytest.raises(ConfigurationError, match="must be a"):
+                CampaignSpec(name="c", seeds=(1,), **kwargs)
 
     def test_cell_needs_seeds(self):
         with pytest.raises(ConfigurationError):
-            CampaignCell(
+            ScenarioRequest(
                 scenario=ScenarioSpec(name="s", profile="highway"),
                 fault=FaultSpec(name="f"),
                 seeds=(),

@@ -24,16 +24,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import execute
 from repro.errors import ConfigurationError
 from repro.scenarios.cache import CampaignCache, canonical_digest
 from repro.scenarios.campaign import (
-    CampaignCell,
     CampaignSpec,
     FaultSpec,
     run_campaign,
 )
 from repro.scenarios.faults import ClockSkew, SensorDropout
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioRequest, ScenarioSpec
+from repro.service import execute_requests
 
 
 def _base_scenario(**overrides) -> ScenarioSpec:
@@ -48,7 +49,7 @@ def _base_scenario(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**kwargs)
 
 
-def _base_cell(**overrides) -> CampaignCell:
+def _base_cell(**overrides) -> ScenarioRequest:
     kwargs = dict(
         scenario=_base_scenario(),
         fault=FaultSpec(
@@ -59,7 +60,7 @@ def _base_cell(**overrides) -> CampaignCell:
         fallback_hold=True,
     )
     kwargs.update(overrides)
-    return CampaignCell(**kwargs)
+    return ScenarioRequest(**kwargs)
 
 
 class TestCanonicalDigest:
@@ -409,3 +410,23 @@ class TestRunCampaignWithCache:
         assert rerun_cache.disk_hits == len(spec.cells())
         assert rerun_cache.misses == 0
         assert first.summaries == second.summaries
+
+    def test_campaign_execute_and_service_share_entries(self):
+        # A campaign cell is a ScenarioRequest, so one digest keys the
+        # run for the campaign, execute() and the service alike.
+        spec = _spec(_base_cell().fault)
+        cache = CampaignCache()
+        campaign = run_campaign(spec, cache=cache)
+        misses = cache.misses
+        request = ScenarioRequest(
+            scenario=_base_scenario(),
+            seeds=(900, 901),
+            fault=_base_cell().fault,
+            fallback_hold=True,
+        )
+        direct = execute(request, cache=cache)
+        assert direct.cache_hit
+        served = execute_requests([request], cache=cache)[0]
+        assert served.source == "cache"
+        assert cache.misses == misses
+        assert served.summary == direct.summary == campaign.summaries[1]

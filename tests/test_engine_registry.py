@@ -63,6 +63,13 @@ def _fast_payload(domain: str, name: str, seed: int, block: int | None):
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
+#: Every source file of the package, relative path -> text: what the
+#: structural guards below read.
+SOURCES = {
+    path.relative_to(SRC).as_posix(): path.read_text()
+    for path in sorted(SRC.rglob("*.py"))
+}
+
 
 class TestRegistryMechanics:
     def test_discovers_all_builtin_pairs(self):
@@ -190,14 +197,18 @@ class TestRegistryMechanics:
         assert not engine_spec("warp", "reference").bit_exact
         assert ("warp", "reference", "model") not in PAIRS
 
+    def test_guards_read_the_package(self):
+        # The guards below assert that no file matches, so an empty
+        # walk (say, from a copy outside a checkout) would pass them.
+        assert {"api.py", "scenarios/spec.py"} <= SOURCES.keys()
+
     def test_no_inline_engine_branches_outside_registry(self):
         # The refactor's point of no return: dispatch-by-string never
         # reappears outside repro.engines.
         offenders = []
-        for path in sorted(SRC.rglob("*.py")):
-            if "engines" in path.relative_to(SRC).parts:
+        for path, text in SOURCES.items():
+            if path.startswith("engines/"):
                 continue
-            text = path.read_text()
             for needle in (
                 'engine == "fast"',
                 'engine == "model"',
@@ -215,9 +226,9 @@ class TestRegistryMechanics:
         # layer that owns it imports nothing from the service or
         # campaign layers it supervises.
         sites = [
-            str(path.relative_to(SRC))
-            for path in sorted(SRC.rglob("*.py"))
-            for _ in range(path.read_text().count("ProcessPoolExecutor("))
+            path
+            for path, text in SOURCES.items()
+            for _ in range(text.count("ProcessPoolExecutor("))
         ]
         assert sites == ["resilience/pool.py"]
         upward = re.compile(
@@ -226,9 +237,9 @@ class TestRegistryMechanics:
             re.MULTILINE,
         )
         offenders = [
-            path.name
-            for path in sorted((SRC / "resilience").glob("*.py"))
-            if upward.search(path.read_text())
+            path
+            for path, text in SOURCES.items()
+            if Path(path).parent.name == "resilience" and upward.search(text)
         ]
         assert offenders == []
 
@@ -237,37 +248,32 @@ class TestRegistryMechanics:
         # in Supervisor.map; campaigns and the service only call it.
         needles = (".restart(", ".kill_workers(", "FIRST_COMPLETED")
         offenders = [
-            f"{path.relative_to(SRC)}: {needle}"
-            for path in sorted(SRC.rglob("*.py"))
-            if path.parent.name != "resilience"
+            f"{path}: {needle}"
+            for path, text in SOURCES.items()
+            if Path(path).parent.name != "resilience"
             for needle in needles
-            if needle in path.read_text()
+            if needle in text
         ]
         assert offenders == []
 
     def test_one_job_shape(self):
         # A job's fault chain is the whole per-row fault state: no
         # dropout side field, and every job is built in one function.
-        sources = {
-            str(path.relative_to(SRC)): path.read_text()
-            for path in sorted(SRC.rglob("*.py"))
-        }
         assert [
-            p for p, text in sources.items() if "acc_dropout_time" in text
+            p for p, text in SOURCES.items() if "acc_dropout_time" in text
         ] == []
         assert [
-            p for p, text in sources.items() if "EnsembleJob(" in text
-        ] == ["scenarios/campaign.py"]
-        assert sources["scenarios/campaign.py"].count("EnsembleJob(") == 1
+            p for p, text in SOURCES.items() if "EnsembleJob(" in text
+        ] == ["scenarios/spec.py"]
+        assert SOURCES["scenarios/spec.py"].count("EnsembleJob(") == 1
 
     def test_one_chunk_size(self):
         # The lockstep core owns its seed block: no function takes a
         # chunk_size, no engine flags that it accepts one, and only the
         # arena assigns the block size.
         params, flags, assigned = [], [], []
-        for path in sorted(SRC.rglob("*.py")):
-            where = str(path.relative_to(SRC))
-            for node in ast.walk(ast.parse(path.read_text())):
+        for where, text in SOURCES.items():
+            for node in ast.walk(ast.parse(text)):
                 if isinstance(node, ast.arg) and node.arg == "chunk_size":
                     params.append(where)
                 words = [
@@ -301,9 +307,8 @@ class TestRegistryMechanics:
         )
 
         pool_users, flagged = [], []
-        for path in sorted(SRC.rglob("*.py")):
-            where = str(path.relative_to(SRC))
-            for node in ast.walk(ast.parse(path.read_text())):
+        for where, text in SOURCES.items():
+            for node in ast.walk(ast.parse(text)):
                 imported = []
                 if isinstance(node, ast.Import):
                     imported = [alias.name for alias in node.names]
@@ -312,7 +317,7 @@ class TestRegistryMechanics:
                         f"{node.module}.{alias.name}" for alias in node.names
                     ]
                 named = {getattr(node, f, None) for f in ("id", "attr", "name")}
-                if path.parent.name != "resilience" and (
+                if Path(where).parent.name != "resilience" and (
                     "repro.resilience.pool" in imported or "WorkerPool" in named
                 ):
                     pool_users.append(where)
@@ -338,13 +343,9 @@ class TestRegistryMechanics:
         # Every summary comes from summarize_rows; only execute() turns
         # "every seed diverged" into an error, and no code recovers
         # from an error by matching its message.
-        sources = {
-            str(path.relative_to(SRC)): path.read_text()
-            for path in sorted(SRC.rglob("*.py"))
-        }
-        assert [p for p, text in sources.items() if "in str(exc)" in text] == []
+        assert [p for p, text in SOURCES.items() if "in str(exc)" in text] == []
         assert [
-            p for p, text in sources.items() if "every run diverged" in text
+            p for p, text in SOURCES.items() if "every run diverged" in text
         ] == ["api.py"]
 
 

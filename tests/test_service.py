@@ -158,6 +158,20 @@ class TestRequestContract:
                     scenario=BENCH, seeds=(3,), acc_dropout=((3, time),)
                 )
 
+    def test_field_types_validated(self):
+        # A mistyped field shares its group key with valid requests;
+        # admitted, it would fail every request of the batch it joins.
+        for field, value in (
+            ("fault", DROPOUT_FAULT.faults[0]),
+            ("fault", DROPOUT_FAULT.faults),
+            ("scenario", "bench"),
+            ("misalignment", (0.01, 0.02, 0.03)),
+            ("estimator_config", {"fallback_hold": True}),
+        ):
+            kwargs = {"scenario": BENCH, "seeds": (1,), field: value}
+            with pytest.raises(ConfigurationError, match=f"{field} must be"):
+                ScenarioRequest(**kwargs)
+
     def test_misalignment_defaults_to_campaign_default(self):
         from repro.experiments.table1 import DEFAULT_MISALIGNMENT
 
